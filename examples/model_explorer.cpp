@@ -160,6 +160,10 @@ int main(int argc, char** argv) {
   if (model_name != "s3" && model_name != "combined") {
     parser.Fail("--model must be s3 or combined");
   }
+  if (ues > static_cast<int>(model::CombinedModel::kMaxUes)) {
+    parser.Fail("--ues must be at most " +
+                std::to_string(model::CombinedModel::kMaxUes));
+  }
 
   mck::ParallelExploreOptions opt_explore;
   opt_explore.jobs = jobs;

@@ -192,7 +192,7 @@ ReplayOutcome Replay(const ScenarioScript& script,
       tb.ue().serving() == nas::System::k3G &&
       tb.ue().awaiting_cell_reselection();
   outcome.counters.out_of_service = tb.ue().out_of_service();
-  outcome.records = tb.traces().records();
+  outcome.records = tb.traces().TakeRecords();
   return outcome;
 }
 

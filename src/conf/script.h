@@ -92,6 +92,7 @@ struct ReplayCounters {
   double stuck_in_3g_max_s = 0.0;
   bool stranded_in_3g_now = false;
   bool out_of_service = false;
+  bool operator==(const ReplayCounters&) const = default;
 };
 
 struct ReplayOutcome {

@@ -53,6 +53,7 @@ struct PropertyReport {
 struct Finding {
   std::string id;      // "S1" .. "S6"
   std::string detail;  // what the counters showed
+  bool operator==(const Finding&) const = default;
 };
 
 // How gracefully the core degraded under storm load. Aggregated over the

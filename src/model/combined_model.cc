@@ -1,6 +1,7 @@
 #include "model/combined_model.h"
 
 #include <cstddef>
+#include <stdexcept>
 
 #include "mck/symmetry.h"
 
@@ -15,6 +16,14 @@ using Kind = CombinedModel::Kind;
 using Ue = CombinedModel::Ue;
 
 }  // namespace
+
+CombinedModel::CombinedModel(Config config) : config_(config) {
+  if (config_.ues < 1 || config_.ues > static_cast<int>(kMaxUes)) {
+    throw std::invalid_argument("CombinedModel: ues must be in [1, " +
+                                std::to_string(kMaxUes) + "], got " +
+                                std::to_string(config_.ues));
+  }
+}
 
 std::vector<CombinedModel::Action> CombinedModel::enabled(
     const State& s) const {

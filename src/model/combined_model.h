@@ -62,7 +62,8 @@ struct CombinedModel {
   };
 
   CombinedModel() = default;
-  explicit CombinedModel(Config config) : config_(config) {}
+  // Throws std::invalid_argument unless config.ues is in [1, kMaxUes].
+  explicit CombinedModel(Config config);
 
   enum class Sys : std::uint8_t { k4G, k3G };
   // Mobility management: registered on 4G; after a fallback the UE owes the

@@ -42,6 +42,8 @@ class Collector {
 
   const std::vector<TraceRecord>& records() const { return records_; }
   void Clear() { records_.clear(); }
+  // Moves the collected records out, leaving the collector empty.
+  std::vector<TraceRecord> TakeRecords() { return std::exchange(records_, {}); }
 
   // Live tap: invoked with every record the moment it is collected, after
   // it is appended to records(). Lets an online consumer (the rtv gateway)

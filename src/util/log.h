@@ -1,5 +1,9 @@
 // Minimal leveled logger. Experiments run quietly by default; tests and
 // examples can raise the level to see protocol activity.
+//
+// A CNV_LOG_* statement below the current level costs one level check: the
+// line is never formatted and its `<<` operands are never evaluated, so
+// debug lines on the stack's per-message path are free when filtered out.
 #pragma once
 
 #include <sstream>
@@ -36,10 +40,23 @@ class LogStream {
   std::ostringstream os_;
 };
 
+// Turns a finished `LogStream(...) << a << b` chain into void so it can be
+// the other arm of `?: (void)0`. `&` binds looser than `<<`, so the whole
+// chain is built first.
+struct Voidify {
+  void operator&(const LogStream&) const {}
+};
+
 }  // namespace internal
 }  // namespace cnv
 
-#define CNV_LOG_DEBUG ::cnv::internal::LogStream(::cnv::LogLevel::kDebug)
-#define CNV_LOG_INFO ::cnv::internal::LogStream(::cnv::LogLevel::kInfo)
-#define CNV_LOG_WARN ::cnv::internal::LogStream(::cnv::LogLevel::kWarn)
-#define CNV_LOG_ERROR ::cnv::internal::LogStream(::cnv::LogLevel::kError)
+// Expands to a single expression, so `if (c) CNV_LOG_WARN << x; else ...`
+// binds the `else` to the caller's `if`.
+#define CNV_LOG_AT(level)                  \
+  (level) < ::cnv::GetLogLevel() ? (void)0 \
+      : ::cnv::internal::Voidify() & ::cnv::internal::LogStream(level)
+
+#define CNV_LOG_DEBUG CNV_LOG_AT(::cnv::LogLevel::kDebug)
+#define CNV_LOG_INFO CNV_LOG_AT(::cnv::LogLevel::kInfo)
+#define CNV_LOG_WARN CNV_LOG_AT(::cnv::LogLevel::kWarn)
+#define CNV_LOG_ERROR CNV_LOG_AT(::cnv::LogLevel::kError)

@@ -5,6 +5,7 @@
 // refines the model counterexample. This closes the screening -> validation
 // loop end to end.
 #include <string>
+#include <vector>
 
 #include "conf/abstract.h"
 #include "conf/compile.h"
@@ -17,6 +18,7 @@
 #include "model/s3_model.h"
 #include "model/s4_model.h"
 #include "stack/carrier.h"
+#include "util/log.h"
 
 namespace cnv::conf {
 namespace {
@@ -100,6 +102,49 @@ TEST(ConfReplayTest, ReplayIsDeterministicForFixedSeed) {
   ASSERT_EQ(a.records.size(), b.records.size());
   for (std::size_t i = 0; i < a.records.size(); ++i) {
     EXPECT_EQ(a.records[i], b.records[i]) << "record " << i;
+  }
+}
+
+// Logging must never change the simulation: the compiled S1-S4 scripts
+// replay to identical records, probes and counters whether every debug line
+// is formatted and printed or filtered out.
+TEST(ConfReplayTest, ReplayIsIndependentOfLogLevel) {
+  std::vector<ScenarioScript> scripts;
+  const auto add = [&scripts](const CompileResult& r) {
+    ASSERT_TRUE(r.ok) << r.error;
+    scripts.push_back(r.script);
+  };
+  const model::S1Model s1;
+  add(CompileS1(s1, FirstViolation(s1, model::kPacketServiceOk)));
+  const model::S2Model s2;
+  add(CompileS2(s2, FirstViolation(s2, model::kPacketServiceOk)));
+  model::S3Model::Config s3_cfg;
+  s3_cfg.policy = model::SwitchPolicy::kCellReselection;
+  const model::S3Model s3(s3_cfg);
+  add(CompileS3(s3, FirstViolation(s3, model::kMmOk)));
+  const model::S4Model s4;
+  add(CompileS4(s4, FirstViolation(s4, model::kCallServiceOk)));
+  ASSERT_EQ(scripts.size(), 4u);
+
+  const LogLevel saved = GetLogLevel();
+  for (const auto& script : scripts) {
+    for (const auto& profile : {stack::OpI(), stack::OpII()}) {
+      SetLogLevel(LogLevel::kWarn);
+      const ReplayOutcome quiet = Replay(script, profile);
+      SetLogLevel(LogLevel::kDebug);
+      testing::internal::CaptureStderr();
+      const ReplayOutcome loud = Replay(script, profile);
+      const std::string debug_out = testing::internal::GetCapturedStderr();
+      SetLogLevel(saved);
+
+      const std::string where =
+          ToString(script.scenario) + " on " + profile.name;
+      EXPECT_NE(debug_out.find("[DEBUG] "), std::string::npos) << where;
+      EXPECT_EQ(quiet.records, loud.records) << where;
+      EXPECT_EQ(quiet.probes, loud.probes) << where;
+      EXPECT_EQ(quiet.counters, loud.counters) << where;
+      EXPECT_EQ(quiet.awaits_satisfied, loud.awaits_satisfied) << where;
+    }
   }
 }
 

@@ -318,11 +318,13 @@ TEST(WheelPropertyTest, MatchesHeapOnReentrantChains) {
   const auto drive = [](auto& sim, std::vector<int>& log) {
     for (int chain = 0; chain < 50; ++chain) {
       auto step = std::make_shared<std::function<void(int)>>();
-      *step = [&sim, &log, chain, step](int depth) {
+      // The handler holds itself weakly (a strong self-capture is a cycle
+      // that leaks); each pending event keeps it alive.
+      *step = [&sim, &log, chain, self = std::weak_ptr(step)](int depth) {
         log.push_back(chain * 100 + depth);
         if (depth < 20) {
           sim.ScheduleIn(depth % 3 == 0 ? 0 : depth,
-                         [step, depth] { (*step)(depth + 1); });
+                         [step = self.lock(), depth] { (*step)(depth + 1); });
         }
       };
       sim.ScheduleAt(chain * 7, [step] { (*step)(0); });
