@@ -35,7 +35,6 @@
 #include <functional>
 #include <ostream>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "mck/intern_table.h"
@@ -305,7 +304,27 @@ ExploreResult<M> Explore(const M& model,
 
   const auto wall_start = std::chrono::steady_clock::now();
   ExploreResult<M> result;
-  std::unordered_set<std::string> violated;
+  // Violated properties by slot: slot[i] is the first property sharing
+  // property i's name and slot n (n = properties.size()) is "deadlock", so
+  // a state's checks test flags instead of hashing names. A name that is
+  // neither maps to n + 1, which is never marked.
+  const std::size_t n_props = properties.size();
+  std::vector<std::size_t> slot(n_props);
+  const auto slot_of = [&](const std::string& name) {
+    if (name == "deadlock") return n_props;
+    std::size_t j = 0;
+    while (j < n_props && properties[j].name != name) ++j;
+    return j < n_props ? j : n_props + 1;
+  };
+  for (std::size_t i = 0; i < n_props; ++i) {
+    slot[i] = slot_of(properties[i].name);
+  }
+  std::vector<char> violated(n_props + 1, 0);
+  std::size_t violated_count = 0;
+  const auto mark_violated = [&](std::size_t k) {
+    if (violated[k] == 0) ++violated_count;
+    violated[k] = 1;
+  };
   const bool track =
       hooks != nullptr && options.order == SearchOrder::kBreadthFirst;
   // Reduction is BFS-only (see ExploreOptions::reduction); for DFS the
@@ -347,12 +366,13 @@ ExploreResult<M> Explore(const M& model,
 
   auto check_state = [&](std::int64_t idx) {
     const State& s = arena[static_cast<std::size_t>(idx)];
-    for (const auto& p : properties) {
-      if (options.first_violation_per_property && violated.contains(p.name)) {
+    for (std::size_t i = 0; i < n_props; ++i) {
+      if (options.first_violation_per_property && violated[slot[i]] != 0) {
         continue;
       }
+      const auto& p = properties[i];
       if (!p.holds(s)) {
-        violated.insert(p.name);
+        mark_violated(slot[i]);
         result.violations.push_back({p.name, reconstruct(idx), s});
       }
     }
@@ -360,7 +380,7 @@ ExploreResult<M> Explore(const M& model,
 
   auto all_violated = [&] {
     return options.first_violation_per_property && !properties.empty() &&
-           violated.size() == properties.size() && !options.detect_deadlock;
+           violated_count == n_props && !options.detect_deadlock;
   };
 
   // Intern a state: probe the table by (hash, value) first and append to the
@@ -386,9 +406,9 @@ ExploreResult<M> Explore(const M& model,
   };
 
   auto check_deadlock = [&](std::int64_t idx) {
-    if (!options.detect_deadlock || violated.contains("deadlock")) return;
+    if (!options.detect_deadlock || violated[n_props] != 0) return;
     if (internal::IsFinal(model, arena[static_cast<std::size_t>(idx)])) return;
-    violated.insert("deadlock");
+    mark_violated(n_props);
     result.violations.push_back(
         {"deadlock", reconstruct(idx), arena[static_cast<std::size_t>(idx)]});
   };
@@ -447,7 +467,10 @@ ExploreResult<M> Explore(const M& model,
       result.stats.max_depth_reached = snap.max_depth_reached;
       result.stats.ample_states = snap.ample_states;
       result.violations = snap.violations;
-      for (const auto& v : result.violations) violated.insert(v.property);
+      for (const auto& v : result.violations) {
+        const std::size_t k = slot_of(v.property);
+        if (k <= n_props) mark_violated(k);
+      }
       cadence.states_at_last = snap.nodes.size();
     } else {
       auto [idx, inserted] = intern(red.Canon(model.initial()), -1, nullptr, 0);
