@@ -1,6 +1,7 @@
 // Runtime-verification gateway throughput: records/sec sustained through
 // ingest parse -> SPSC ring -> abstraction -> S1-S6 monitors, single-stream
-// and multiplexed across stream counts. The corpus is the golden S1-S6
+// and multiplexed across stream counts, in 64 KiB chunks and one line per
+// Feed (blocking and drop-newest backpressure). The corpus is the golden S1-S6
 // scenario catalog concatenated and repeated, so every finding signature
 // keeps firing at full rate; the alert count is reported next to the wall
 // time so a perf change that also changed monitor behaviour is visible.
@@ -34,34 +35,53 @@ struct RunOutcome {
   std::string name;
   std::size_t streams = 0;
   std::uint64_t records = 0;
+  std::uint64_t dropped = 0;
   std::uint64_t alerts = 0;
   double wall_seconds = 0;
   double records_per_sec = 0;
 };
 
-// Feeds `corpus` (repeated `reps` times) round-robin across `streams`
-// gateway streams in 64 KiB chunks; best wall time over `tries`.
-RunOutcome RunIngest(const std::string& name, const std::string& corpus,
+// `corpus` cut into 64 KiB chunks, or into single lines when `per_line`
+// (the shape of a live tap: rtv::FeedRecord feeds one line per call).
+std::vector<std::string_view> Pieces(const std::string& corpus,
+                                     bool per_line) {
+  constexpr std::size_t kChunk = 64 * 1024;
+  std::vector<std::string_view> out;
+  for (std::size_t off = 0; off < corpus.size();) {
+    const std::size_t len =
+        per_line ? corpus.find('\n', off) + 1 - off : kChunk;
+    out.push_back(std::string_view(corpus).substr(off, len));
+    off += out.back().size();
+  }
+  return out;
+}
+
+// Feeds `pieces` (the corpus, repeated `reps` times) round-robin across
+// `streams` gateway streams; best wall time over `tries`. Records/sec
+// counts every record offered, dropped ones included.
+RunOutcome RunIngest(const std::string& name,
+                     const std::vector<std::string_view>& pieces,
                      std::size_t corpus_records, std::size_t reps,
-                     std::size_t streams, bool threaded, int tries) {
+                     std::size_t streams, bool threaded, int tries,
+                     rtv::Backpressure backpressure =
+                         rtv::Backpressure::kBlock) {
   RunOutcome out;
   out.name = name;
   out.streams = streams;
-  constexpr std::size_t kChunk = 64 * 1024;
   double best = 1e300;
   for (int t = 0; t < tries; ++t) {
     rtv::GatewayConfig cfg;
     cfg.threaded = threaded;
+    cfg.backpressure = backpressure;
     cfg.latency_sample_every = 4096;
     rtv::Gateway gw(cfg);
     gw.Start();
     const double t0 = Now();
     for (std::size_t rep = 0; rep < reps; ++rep) {
-      for (std::size_t off = 0; off < corpus.size(); off += kChunk) {
+      for (const std::string_view piece : pieces) {
         // Whole repetitions round-robin across streams, so every stream
         // sees complete scenarios and every signature still fires.
-        gw.Feed(static_cast<std::uint32_t>(rep % streams),
-                std::string_view(corpus).substr(off, kChunk));
+        gw.Feed(static_cast<std::uint32_t>(rep % streams), piece);
       }
     }
     gw.Finish();
@@ -69,6 +89,7 @@ RunOutcome RunIngest(const std::string& name, const std::string& corpus,
     if (dt < best) best = dt;
     if (t == 0) {
       out.records = gw.stats().records_processed;
+      out.dropped = gw.stats().records_dropped;
       out.alerts = gw.stats().alerts;
     }
   }
@@ -81,17 +102,18 @@ RunOutcome RunIngest(const std::string& name, const std::string& corpus,
 }
 
 void PrintRow(const RunOutcome& o) {
-  std::printf("%-24s %2zu stream(s)  %9llu records  %8.4fs  %12.0f rec/s  "
-              "alerts=%llu\n",
+  std::printf("%-30s %2zu stream(s)  %9llu records  %8.4fs  %12.0f rec/s  "
+              "alerts=%llu dropped=%llu\n",
               o.name.c_str(), o.streams, (unsigned long long)o.records,
               o.wall_seconds, o.records_per_sec,
-              (unsigned long long)o.alerts);
+              (unsigned long long)o.alerts, (unsigned long long)o.dropped);
 }
 
 std::string JsonRow(const RunOutcome& o) {
   return "    {\"name\": \"" + o.name + "\", \"streams\": " +
          std::to_string(o.streams) + ", \"records\": " +
-         std::to_string(o.records) + ", \"alerts\": " +
+         std::to_string(o.records) + ", \"dropped\": " +
+         std::to_string(o.dropped) + ", \"alerts\": " +
          std::to_string(o.alerts) + ", \"wall_seconds\": " +
          std::to_string(o.wall_seconds) + ", \"records_per_sec\": " +
          std::to_string(o.records_per_sec) + "}";
@@ -130,19 +152,34 @@ int main(int argc, char** argv) {
               "%zu records per run\n\n",
               corpus_records, corpus.size(), reps, corpus_records * reps);
 
+  const std::vector<std::string_view> chunks = Pieces(corpus, false);
+  const std::vector<std::string_view> lines = Pieces(corpus, true);
   std::vector<RunOutcome> rows;
-  rows.push_back(RunIngest("inline (no ring)", corpus, corpus_records, reps,
+  rows.push_back(RunIngest("inline (no ring)", chunks, corpus_records, reps,
                            1, /*threaded=*/false, tries));
   PrintRow(rows.back());
-  rows.push_back(RunIngest("pipelined", corpus, corpus_records, reps, 1,
+  rows.push_back(RunIngest("pipelined", chunks, corpus_records, reps, 1,
                            /*threaded=*/true, tries));
   PrintRow(rows.back());
   for (const std::size_t streams : {2u, 4u, 8u}) {
-    rows.push_back(RunIngest("pipelined x" + std::to_string(streams), corpus,
+    rows.push_back(RunIngest("pipelined x" + std::to_string(streams), chunks,
                              corpus_records, reps, streams,
                              /*threaded=*/true, tries));
     PrintRow(rows.back());
   }
+  // One line per Feed, as a live tap feeds: every Feed publishes what it
+  // parsed, so the hand-off runs one record at a time.
+  rows.push_back(RunIngest("inline, line per feed", lines, corpus_records,
+                           reps, 1, /*threaded=*/false, tries));
+  PrintRow(rows.back());
+  rows.push_back(RunIngest("pipelined, line per feed", lines,
+                           corpus_records, reps, 1, /*threaded=*/true,
+                           tries));
+  PrintRow(rows.back());
+  rows.push_back(RunIngest("pipelined drop, line per feed", lines,
+                           corpus_records, reps, 1, /*threaded=*/true, tries,
+                           rtv::Backpressure::kDropNewest));
+  PrintRow(rows.back());
 
   std::string json = "{\n  \"corpus_records\": " +
                      std::to_string(corpus_records) +
