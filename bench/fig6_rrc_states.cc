@@ -33,9 +33,11 @@ void ReportPolicy(model::SwitchPolicy policy) {
        },
        ""}};
   mck::Explore(m, collect);
+  std::vector<model::S3Model::Action> actions;
   for (const auto& s : seen) {
     if (s.call != model::S3Model::Call::kEnded) continue;
-    for (const auto& a : m.enabled(s)) {
+    m.enabled(s, actions);
+    for (const auto& a : actions) {
       if (a.kind == model::S3Model::Kind::kSwitchBackTo4g) {
         from[static_cast<int>(s.rrc3g)] = true;
       }

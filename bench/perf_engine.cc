@@ -62,6 +62,26 @@ void BM_ExploreS2Model(benchmark::State& state) {
 }
 BENCHMARK(BM_ExploreS2Model);
 
+// The screening sweep's largest model: the combined CSFB+LU+PDP model at
+// N = 4 UEs, explored fully (arg 0) and with POR + symmetry (arg 1).
+void BM_ExploreCombined(benchmark::State& state) {
+  model::CombinedModel::Config cfg;
+  cfg.ues = 4;
+  const model::CombinedModel m(cfg);
+  const auto props = m.Properties();
+  mck::ExploreOptions opt;
+  opt.reduction.por = opt.reduction.symmetry = state.range(0) != 0;
+  for (auto _ : state) {
+    auto r = mck::Explore(m, props, opt);
+    benchmark::DoNotOptimize(r.stats.states_visited);
+    state.counters["states"] = static_cast<double>(r.stats.states_visited);
+    state.counters["states_per_s"] = benchmark::Counter(
+        static_cast<double>(r.stats.states_visited),
+        benchmark::Counter::kIsIterationInvariantRate);
+  }
+}
+BENCHMARK(BM_ExploreCombined)->ArgName("por_sym")->Arg(0)->Arg(1);
+
 void BM_RandomWalkS2(benchmark::State& state) {
   model::S2Model m;
   const auto props = model::S2Model::Properties();

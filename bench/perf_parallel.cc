@@ -46,13 +46,11 @@ struct ProductCounterModel {
   };
 
   State initial() const { return {}; }
-  std::vector<Action> enabled(const State& s) const {
-    std::vector<Action> acts;
-    acts.reserve(static_cast<std::size_t>(counters));
+  void enabled(const State& s, std::vector<Action>& out) const {
+    out.clear();
     for (int i = 0; i < counters; ++i) {
-      if (s.v[static_cast<std::size_t>(i)] < cap) acts.push_back({i});
+      if (s.v[static_cast<std::size_t>(i)] < cap) out.push_back({i});
     }
-    return acts;
   }
   State apply(const State& s, const Action& a) const {
     State next = s;

@@ -38,9 +38,9 @@ struct HandshakeModel {
 
   State initial() const { return {}; }
 
-  std::vector<Action> enabled(const State& s) const {
-    std::vector<Action> out;
-    if (s.served || s.gave_up) return out;
+  void enabled(const State& s, std::vector<Action>& out) const {
+    out.clear();
+    if (s.served || s.gave_up) return;
     if (!s.req_in_flight && !s.ack_in_flight && s.sends < 2) {
       out.push_back({Kind::kSend});
     }
@@ -55,7 +55,6 @@ struct HandshakeModel {
       out.push_back({Kind::kDropAck});
       out.push_back({Kind::kDeliverAck});
     }
-    return out;
   }
 
   State apply(const State& s, const Action& a) const {

@@ -12,10 +12,10 @@
 //                       the alert log is byte-identical at any chunking,
 //                       including --chunk 1
 //   --policy block|drop backpressure when the ring fills (default block)
-//   --ring N            ring capacity in records, at most 2^24 = 16777216
+//   --ring N            ring capacity in records, at most 2^20 = 1048576
 //                       (default 16384), however many records each read
 //                       carries; its slots take about 104 bytes a record,
-//                       allocated up front
+//                       allocated up front (about 104 MiB at the cap)
 //   --alert-log FILE    also write the alert log to FILE
 //   --metrics-json FILE write the final obs registry snapshot to FILE
 //   --snapshot-every N  refresh --metrics-json every N records while running

@@ -29,9 +29,13 @@ concept CheckpointableModel =
     std::is_trivially_copyable_v<typename M::Action>;
 
 // v2: ample_states joined the snapshot so a resumed reduced run keeps its
-// strict-ample expansion count. Old snapshots are rejected (kBadVersion)
-// rather than resumed with a silently wrong figure.
-inline constexpr std::uint32_t kExploreSnapshotVersion = 2;
+// strict-ample expansion count.
+// v3: the screening models hash their states as bytes (mck::HashBytes), so
+// the cached node hashes of a v2 snapshot no longer match HashValue; resumed,
+// it would intern duplicates of every state it holds.
+// Old snapshots are rejected (kBadVersion) rather than resumed with silently
+// wrong figures.
+inline constexpr std::uint32_t kExploreSnapshotVersion = 3;
 
 template <typename M>
   requires CheckpointableModel<M>

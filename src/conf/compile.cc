@@ -55,9 +55,11 @@ std::optional<typename M::State> ValidateTrace(const M& m,
                                                std::string* error) {
   auto s = m.initial();
   std::size_t step = 1;
+  std::vector<typename M::Action> actions;
   for (const auto& a : v.trace) {
     bool enabled = false;
-    for (const auto& e : m.enabled(s)) {
+    m.enabled(s, actions);
+    for (const auto& e : actions) {
       if (SameAction(e, a)) {
         enabled = true;
         break;

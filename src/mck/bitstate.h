@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "mck/explorer.h"
@@ -113,7 +112,7 @@ BitstateResult<M> BitstateExplore(
 
   BitstateResult<M> result;
   internal::BloomFilter visited(options.log2_bits, options.hash_functions);
-  std::unordered_set<std::string> violated;
+  internal::ViolatedSlots<State> violated(properties);
 
   struct Frame {
     State state;
@@ -124,15 +123,21 @@ BitstateResult<M> BitstateExplore(
   std::vector<Action> path;
 
   auto check = [&](const State& s) {
-    for (const auto& p : properties) {
-      if (options.first_violation_per_property && violated.contains(p.name)) {
+    for (std::size_t i = 0; i < properties.size(); ++i) {
+      if (options.first_violation_per_property && violated.Violated(i)) {
         continue;
       }
+      const auto& p = properties[i];
       if (!p.holds(s)) {
-        violated.insert(p.name);
+        violated.Mark(i);
         result.violations.push_back({p.name, path, s});
       }
     }
+  };
+  // Pushes a frame for `s`, filling its action list in place.
+  auto push = [&](State s) {
+    stack.push_back({std::move(s), {}, 0});
+    model.enabled(stack.back().state, stack.back().actions);
   };
 
   {
@@ -140,12 +145,12 @@ BitstateResult<M> BitstateExplore(
     visited.InsertNew(HashValue(init));
     ++result.stats.states_stored;
     check(init);
-    stack.push_back({init, model.enabled(init), 0});
+    push(std::move(init));
   }
 
   while (!stack.empty()) {
     if (options.first_violation_per_property &&
-        violated.size() == properties.size()) {
+        violated.count() == properties.size()) {
       break;
     }
     Frame& top = stack.back();
@@ -174,8 +179,7 @@ BitstateResult<M> BitstateExplore(
     result.stats.max_depth_reached =
         std::max<std::uint64_t>(result.stats.max_depth_reached, stack.size());
     check(next);
-    std::vector<Action> actions = model.enabled(next);
-    stack.push_back({std::move(next), std::move(actions), 0});
+    push(std::move(next));
   }
 
   result.stats.fill_ratio = visited.FillRatio();

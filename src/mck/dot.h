@@ -65,11 +65,12 @@ std::string ExportDot(const M& model,
   };
 
   frontier.push(intern(model.initial()).first);
+  std::vector<Action> actions;
   while (!frontier.empty() && !truncated) {
     const auto idx = frontier.front();
     frontier.pop();
-    for (const Action& a :
-         model.enabled(states[static_cast<std::size_t>(idx)])) {
+    model.enabled(states[static_cast<std::size_t>(idx)], actions);
+    for (const Action& a : actions) {
       auto [child, inserted] =
           intern(model.apply(states[static_cast<std::size_t>(idx)], a));
       edges += "  n" + std::to_string(idx) + " -> n" + std::to_string(child) +

@@ -9,11 +9,18 @@
 //     struct State  { ... regular value type ... };  // with operator==
 //     struct Action { ... };                          // transition label
 //     State initial() const;
-//     std::vector<Action> enabled(const State&) const;
+//     // Clears `out`, then appends the actions enabled in the state.
+//     void enabled(const State&, std::vector<Action>& out) const;
 //     State apply(const State&, const Action&) const;
 //     std::string describe(const Action&) const;
 //   };
 //   std::size_t HashValue(const M::State&);           // found by ADL
+//
+// Each engine owns its successor buffers (one per worker in
+// ParallelExplore) and hands them to `enabled` state after state, so a
+// search allocates only while a buffer grows to the model's widest fan-out.
+// A State made only of byte-sized fields hashes as bytes
+// (`return mck::HashBytes(s);`, mck/hash.h).
 //
 // BFS yields shortest counterexamples (used for reporting); DFS uses less
 // bookkeeping per state and honours a depth bound (used for soak runs).
@@ -46,9 +53,10 @@ namespace cnv::mck {
 
 template <typename M>
 concept CheckableModel = requires(const M m, const typename M::State s,
-                                  const typename M::Action a) {
+                                  const typename M::Action a,
+                                  std::vector<typename M::Action>& out) {
   { m.initial() } -> std::convertible_to<typename M::State>;
-  { m.enabled(s) } -> std::convertible_to<std::vector<typename M::Action>>;
+  m.enabled(s, out);
   { m.apply(s, a) } -> std::convertible_to<typename M::State>;
   { m.describe(a) } -> std::convertible_to<std::string>;
   { s == s } -> std::convertible_to<bool>;
@@ -78,6 +86,56 @@ struct ExploreOptions {
 };
 
 namespace internal {
+
+// Violated properties by slot: slot(i) is the first property sharing
+// property i's name and slot n (n = properties.size()) is "deadlock", so a
+// state's checks test flags instead of hashing names. A name that is
+// neither maps to n + 1, which is never marked.
+template <typename State>
+class ViolatedSlots {
+ public:
+  explicit ViolatedSlots(const PropertySet<State>& properties)
+      : props_(&properties), slot_(properties.size()),
+        flag_(properties.size() + 1, 0) {
+    for (std::size_t i = 0; i < slot_.size(); ++i) {
+      slot_[i] = SlotOf(properties[i].name);
+    }
+  }
+
+  std::size_t SlotOf(const std::string& name) const {
+    const std::size_t n = slot_.size();
+    if (name == "deadlock") return n;
+    std::size_t j = 0;
+    while (j < n && (*props_)[j].name != name) ++j;
+    return j < n ? j : n + 1;
+  }
+
+  // Property i (or, for i == size of the set, deadlock) is violated.
+  bool Violated(std::size_t i) const {
+    return i < slot_.size() ? flag_[slot_[i]] != 0 : flag_.back() != 0;
+  }
+  void Mark(std::size_t i) {
+    MarkSlot(i < slot_.size() ? slot_[i] : slot_.size());
+  }
+  // Re-marks a violation carried by name (a resumed snapshot).
+  void MarkName(const std::string& name) {
+    const std::size_t k = SlotOf(name);
+    if (k < flag_.size()) MarkSlot(k);
+  }
+  // Number of distinct slots marked.
+  std::size_t count() const { return count_; }
+
+ private:
+  void MarkSlot(std::size_t k) {
+    if (flag_[k] == 0) ++count_;
+    flag_[k] = 1;
+  }
+
+  const PropertySet<State>* props_;
+  std::vector<std::size_t> slot_;
+  std::vector<char> flag_;
+  std::size_t count_ = 0;
+};
 
 template <typename M>
 bool IsFinal(const M& model, const typename M::State& s) {
@@ -304,27 +362,8 @@ ExploreResult<M> Explore(const M& model,
 
   const auto wall_start = std::chrono::steady_clock::now();
   ExploreResult<M> result;
-  // Violated properties by slot: slot[i] is the first property sharing
-  // property i's name and slot n (n = properties.size()) is "deadlock", so
-  // a state's checks test flags instead of hashing names. A name that is
-  // neither maps to n + 1, which is never marked.
   const std::size_t n_props = properties.size();
-  std::vector<std::size_t> slot(n_props);
-  const auto slot_of = [&](const std::string& name) {
-    if (name == "deadlock") return n_props;
-    std::size_t j = 0;
-    while (j < n_props && properties[j].name != name) ++j;
-    return j < n_props ? j : n_props + 1;
-  };
-  for (std::size_t i = 0; i < n_props; ++i) {
-    slot[i] = slot_of(properties[i].name);
-  }
-  std::vector<char> violated(n_props + 1, 0);
-  std::size_t violated_count = 0;
-  const auto mark_violated = [&](std::size_t k) {
-    if (violated[k] == 0) ++violated_count;
-    violated[k] = 1;
-  };
+  internal::ViolatedSlots<State> violated(properties);
   const bool track =
       hooks != nullptr && options.order == SearchOrder::kBreadthFirst;
   // Reduction is BFS-only (see ExploreOptions::reduction); for DFS the
@@ -367,12 +406,12 @@ ExploreResult<M> Explore(const M& model,
   auto check_state = [&](std::int64_t idx) {
     const State& s = arena[static_cast<std::size_t>(idx)];
     for (std::size_t i = 0; i < n_props; ++i) {
-      if (options.first_violation_per_property && violated[slot[i]] != 0) {
+      if (options.first_violation_per_property && violated.Violated(i)) {
         continue;
       }
       const auto& p = properties[i];
       if (!p.holds(s)) {
-        mark_violated(slot[i]);
+        violated.Mark(i);
         result.violations.push_back({p.name, reconstruct(idx), s});
       }
     }
@@ -380,7 +419,7 @@ ExploreResult<M> Explore(const M& model,
 
   auto all_violated = [&] {
     return options.first_violation_per_property && !properties.empty() &&
-           violated_count == n_props && !options.detect_deadlock;
+           violated.count() == n_props && !options.detect_deadlock;
   };
 
   // Intern a state: probe the table by (hash, value) first and append to the
@@ -406,9 +445,9 @@ ExploreResult<M> Explore(const M& model,
   };
 
   auto check_deadlock = [&](std::int64_t idx) {
-    if (!options.detect_deadlock || violated[n_props] != 0) return;
+    if (!options.detect_deadlock || violated.Violated(n_props)) return;
     if (internal::IsFinal(model, arena[static_cast<std::size_t>(idx)])) return;
-    mark_violated(n_props);
+    violated.Mark(n_props);
     result.violations.push_back(
         {"deadlock", reconstruct(idx), arena[static_cast<std::size_t>(idx)]});
   };
@@ -426,6 +465,7 @@ ExploreResult<M> Explore(const M& model,
     // the same predicate the parallel engine evaluates against its frozen
     // pre-wave table. `ample` is the reusable ample-subset scratch.
     std::int64_t wave_start = 0;
+    std::vector<Action> actions;
     std::vector<Action> ample;
     auto is_old = [&](const State& t) {
       const std::uint64_t h = static_cast<std::uint64_t>(HashValue(t));
@@ -467,10 +507,7 @@ ExploreResult<M> Explore(const M& model,
       result.stats.max_depth_reached = snap.max_depth_reached;
       result.stats.ample_states = snap.ample_states;
       result.violations = snap.violations;
-      for (const auto& v : result.violations) {
-        const std::size_t k = slot_of(v.property);
-        if (k <= n_props) mark_violated(k);
-      }
+      for (const auto& v : result.violations) violated.MarkName(v.property);
       cadence.states_at_last = snap.nodes.size();
     } else {
       auto [idx, inserted] = intern(red.Canon(model.initial()), -1, nullptr, 0);
@@ -511,9 +548,7 @@ ExploreResult<M> Explore(const M& model,
       next_frontier.clear();
       wave_start = static_cast<std::int64_t>(arena.size());
       for (const std::int64_t idx : frontier) {
-        // Copy the actions: `arena` may reallocate while children intern.
-        const std::vector<Action> actions =
-            model.enabled(arena[static_cast<std::size_t>(idx)]);
+        model.enabled(arena[static_cast<std::size_t>(idx)], actions);
         if (actions.empty()) check_deadlock(idx);
         const std::vector<Action>* expand = &actions;
         if (red.por() &&
@@ -550,6 +585,7 @@ ExploreResult<M> Explore(const M& model,
     }
   } else {
     std::vector<std::int64_t> frontier;
+    std::vector<Action> actions;
     {
       auto [idx, inserted] = intern(model.initial(), -1, nullptr, 0);
       (void)inserted;
@@ -571,9 +607,7 @@ ExploreResult<M> Explore(const M& model,
         continue;
       }
 
-      // Copy the actions: `arena` may reallocate while children are interned.
-      const std::vector<Action> actions =
-          model.enabled(arena[static_cast<std::size_t>(idx)]);
+      model.enabled(arena[static_cast<std::size_t>(idx)], actions);
       if (actions.empty()) check_deadlock(idx);
       for (const Action& a : actions) {
         ++result.stats.transitions;

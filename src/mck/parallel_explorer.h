@@ -46,7 +46,6 @@
 #include <string>
 #include <type_traits>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -290,7 +289,9 @@ ParallelExploreResult<M> ParallelExplore(
   ParallelExploreResult<M> result;
   result.par.shards = n_shards;
   result.par.jobs = jobs;
-  std::unordered_set<std::string> violated;
+  // Slot flags as in mck::Explore; property index kDeadlockProp (one past
+  // the last property) is "deadlock".
+  internal::ViolatedSlots<State> violated(properties);
   const bool fvpp = options.base.first_violation_per_property;
   const std::uint32_t kDeadlockProp =
       static_cast<std::uint32_t>(properties.size());
@@ -299,7 +300,7 @@ ParallelExploreResult<M> ParallelExplore(
     // An empty property set means "build the reachability graph", not "every
     // property is already violated" — keep exploring.
     return fvpp && !properties.empty() &&
-           violated.size() == properties.size() &&
+           violated.count() == properties.size() &&
            !options.base.detect_deadlock;
   };
 
@@ -351,7 +352,7 @@ ParallelExploreResult<M> ParallelExplore(
     result.stats.max_depth_reached = snap.max_depth_reached;
     result.stats.ample_states = snap.ample_states;
     result.violations = snap.violations;
-    for (const auto& v : result.violations) violated.insert(v.property);
+    for (const auto& v : result.violations) violated.MarkName(v.property);
   } else {
     // Intern the initial state and check it (single-threaded).
     State init = red.Canon(model.initial());
@@ -370,7 +371,7 @@ ParallelExploreResult<M> ParallelExplore(
     }
     for (std::uint32_t p = 0; p < properties.size(); ++p) {
       if (!properties[p].holds(state_of(id))) {
-        violated.insert(properties[p].name);
+        violated.Mark(p);
         result.violations.push_back({properties[p].name, {}, state_of(id)});
       }
     }
@@ -419,8 +420,13 @@ ParallelExploreResult<M> ParallelExplore(
   std::vector<std::uint64_t> worker_transitions(
       static_cast<std::size_t>(jobs), 0);
   std::vector<std::uint64_t> worker_ample(static_cast<std::size_t>(jobs), 0);
-  std::vector<std::vector<Action>> worker_ample_buf(
-      static_cast<std::size_t>(jobs));
+  // Per-worker successor buffers (enabled and ample actions), reused across
+  // every state the worker expands.
+  struct ActionBuffers {
+    std::vector<Action> enabled;
+    std::vector<Action> ample;
+  };
+  std::vector<ActionBuffers> worker_buf(static_cast<std::size_t>(jobs));
   std::vector<std::vector<std::uint64_t>> worker_deadlocks(
       static_cast<std::size_t>(jobs));
   // Worker-local routing buffers, one per (worker, shard): candidates are
@@ -470,7 +476,7 @@ ParallelExploreResult<M> ParallelExplore(
     // successor. Byte-identical to the multi-worker path by construction
     // (both reproduce serial wave order), including hash_occupancy, since
     // the shard tables end up with the same content.
-    std::vector<Action> fast_ample;
+    ActionBuffers& buf = worker_buf.front();
     while (!frontier.empty() && !all_violated()) {
       if (drain_requested()) {
         result.cancelled = true;
@@ -491,23 +497,22 @@ ParallelExploreResult<M> ParallelExplore(
       for (const std::uint64_t parent_id : frontier) {
         // Re-fetch the parent state on every use: a shard arena may
         // reallocate while children are interned.
-        const std::vector<Action> actions =
-            model.enabled(state_of(parent_id));
-        if (actions.empty()) {
+        model.enabled(state_of(parent_id), buf.enabled);
+        if (buf.enabled.empty()) {
           if (options.base.detect_deadlock &&
-              !violated.contains("deadlock") &&
+              !violated.Violated(kDeadlockProp) &&
               !internal::IsFinal(model, state_of(parent_id))) {
-            violated.insert("deadlock");
+            violated.Mark(kDeadlockProp);
             result.violations.push_back(
                 {"deadlock", reconstruct(parent_id), state_of(parent_id)});
           }
           continue;
         }
-        const std::vector<Action>* expand = &actions;
+        const std::vector<Action>* expand = &buf.enabled;
         if (red.por() &&
-            red.SelectAmple(model, state_of(parent_id), actions, is_old_canon,
-                            fast_ample)) {
-          expand = &fast_ample;
+            red.SelectAmple(model, state_of(parent_id), buf.enabled,
+                            is_old_canon, buf.ample)) {
+          expand = &buf.ample;
           ++result.stats.ample_states;
         }
         for (const Action& a : *expand) {
@@ -538,9 +543,9 @@ ParallelExploreResult<M> ParallelExplore(
             order.push_back(id);
           }
           for (std::uint32_t p = 0; p < properties.size(); ++p) {
-            if (fvpp && violated.contains(properties[p].name)) continue;
+            if (fvpp && violated.Violated(p)) continue;
             if (!properties[p].holds(state_of(id))) {
-              violated.insert(properties[p].name);
+              violated.Mark(p);
               result.violations.push_back(
                   {properties[p].name, reconstruct(id), state_of(id)});
             }
@@ -560,23 +565,22 @@ ParallelExploreResult<M> ParallelExplore(
   // gates the transition/deadlock/ample accounting so a recovery
   // re-expansion never double-counts figures phase 1 already recorded.
   auto expand_range = [&](int w, std::size_t begin, std::size_t end,
-                          std::vector<Action>& ample_buf, bool count,
-                          auto&& sink) {
+                          ActionBuffers& buf, bool count, auto&& sink) {
     const std::size_t wi = static_cast<std::size_t>(w);
     for (std::size_t pos = begin; pos < end; ++pos) {
       const State& s = state_of(frontier[pos]);
-      const std::vector<Action> actions = model.enabled(s);
-      if (actions.empty()) {
+      model.enabled(s, buf.enabled);
+      if (buf.enabled.empty()) {
         if (count && options.base.detect_deadlock &&
             !internal::IsFinal(model, s)) {
           worker_deadlocks[wi].push_back(pos);
         }
         continue;
       }
-      const std::vector<Action>* expand = &actions;
+      const std::vector<Action>* expand = &buf.enabled;
       if (red.por() &&
-          red.SelectAmple(model, s, actions, is_old_canon, ample_buf)) {
-        expand = &ample_buf;
+          red.SelectAmple(model, s, buf.enabled, is_old_canon, buf.ample)) {
+        expand = &buf.ample;
         if (count) ++worker_ample[wi];
       }
       for (std::uint32_t ai = 0;
@@ -626,7 +630,7 @@ ParallelExploreResult<M> ParallelExplore(
         frontier.size(), [&](int w, std::size_t begin, std::size_t end) {
           const std::size_t wi = static_cast<std::size_t>(w);
           std::vector<Candidate>* local = &routed[wi * n_shards];
-          expand_range(w, begin, end, worker_ample_buf[wi], true,
+          expand_range(w, begin, end, worker_buf[wi], true,
                        [&](std::uint32_t sh, Candidate&& c) {
                          local[sh].push_back(std::move(c));
                        });
@@ -683,7 +687,7 @@ ParallelExploreResult<M> ParallelExplore(
     // merge phase resolves same-wave ties by key).
     std::vector<char> already_violated(properties.size(), 0);
     for (std::uint32_t p = 0; p < properties.size(); ++p) {
-      already_violated[p] = fvpp && violated.contains(properties[p].name);
+      already_violated[p] = fvpp && violated.Violated(p);
     }
     // Interns one surviving candidate into its shard: arena append, table
     // insert, wave bookkeeping (new_ids/new_keys/new_hashes) and property
@@ -781,9 +785,9 @@ ParallelExploreResult<M> ParallelExplore(
           if (stop >= shard.runs.size()) break;
           const Run& bad = shard.runs[stop];
           std::vector<Candidate> rebuilt;
-          std::vector<Action> recovery_ample;
+          ActionBuffers recovery_buf;
           expand_range(bad.worker, bad.slice_begin, bad.slice_end,
-                       recovery_ample, false,
+                       recovery_buf, false,
                        [&](std::uint32_t sh, Candidate&& c) {
                          if (sh == static_cast<std::uint32_t>(si)) {
                            rebuilt.push_back(std::move(c));
@@ -860,7 +864,7 @@ ParallelExploreResult<M> ParallelExplore(
       std::uint64_t id = 0;
     };
     std::vector<VCand> vcands;
-    if (options.base.detect_deadlock && !violated.contains("deadlock")) {
+    if (options.base.detect_deadlock && !violated.Violated(kDeadlockProp)) {
       for (const auto& positions : worker_deadlocks) {
         for (const std::uint64_t pos : positions) {
           vcands.push_back({Key{pos, 0}, kDeadlockProp, frontier[pos]});
@@ -882,16 +886,16 @@ ParallelExploreResult<M> ParallelExplore(
               });
     for (const VCand& c : vcands) {
       if (c.property == kDeadlockProp) {
-        if (violated.contains("deadlock")) continue;
-        violated.insert("deadlock");
+        if (violated.Violated(kDeadlockProp)) continue;
+        violated.Mark(kDeadlockProp);
         result.violations.push_back(
             {"deadlock", reconstruct(c.id), state_of(c.id)});
         continue;
       }
-      const std::string& name = properties[c.property].name;
-      if (fvpp && violated.contains(name)) continue;
-      violated.insert(name);
-      result.violations.push_back({name, reconstruct(c.id), state_of(c.id)});
+      if (fvpp && violated.Violated(c.property)) continue;
+      violated.Mark(c.property);
+      result.violations.push_back({properties[c.property].name,
+                                   reconstruct(c.id), state_of(c.id)});
     }
 
     next_frontier.clear();

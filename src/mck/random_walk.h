@@ -55,7 +55,7 @@ WalkResult<M> RandomWalk(const M& model,
   using Action = typename M::Action;
 
   WalkResult<M> result;
-  std::unordered_set<std::string> violated;
+  internal::ViolatedSlots<State> violated(properties);
   std::unordered_set<State, internal::StateHash<State>> distinct;
   // Pre-size for the walk budget (capped: deep soaks revisit heavily, so the
   // distinct count rarely approaches walks * steps).
@@ -64,24 +64,26 @@ WalkResult<M> RandomWalk(const M& model,
                               1ull << 16)));
 
   auto check = [&](const State& s, const std::vector<Action>& trace) {
-    for (const auto& p : properties) {
-      if (options.first_violation_per_property && violated.contains(p.name)) {
+    for (std::size_t i = 0; i < properties.size(); ++i) {
+      if (options.first_violation_per_property && violated.Violated(i)) {
         continue;
       }
+      const auto& p = properties[i];
       if (!p.holds(s)) {
-        violated.insert(p.name);
+        violated.Mark(i);
         result.violations.push_back({p.name, trace, s});
       }
     }
   };
 
+  std::vector<Action> actions;
   for (std::uint64_t w = 0; w < options.walks; ++w) {
     State s = model.initial();
     std::vector<Action> trace;
     distinct.insert(s);
     check(s, trace);
     for (std::uint64_t step = 0; step < options.max_steps_per_walk; ++step) {
-      const std::vector<Action> actions = model.enabled(s);
+      model.enabled(s, actions);
       if (actions.empty()) {
         ++result.stats.dead_ends;
         break;
@@ -95,7 +97,7 @@ WalkResult<M> RandomWalk(const M& model,
     }
     ++result.stats.walks_done;
     if (options.first_violation_per_property &&
-        violated.size() == properties.size()) {
+        violated.count() == properties.size()) {
       break;
     }
   }

@@ -82,11 +82,11 @@ RecoverabilityResult<M> CheckRecoverable(
     frontier.push(idx);
   }
   bool truncated = false;
+  std::vector<Action> actions;
   while (!frontier.empty()) {
     const auto idx = frontier.front();
     frontier.pop();
-    const std::vector<Action> actions =
-        model.enabled(states[static_cast<std::size_t>(idx)]);
+    model.enabled(states[static_cast<std::size_t>(idx)], actions);
     for (const Action& a : actions) {
       ++result.stats.transitions;
       auto [child, inserted] =

@@ -6,11 +6,10 @@ namespace cnv::mck::toys {
 
 // --- CounterModel ---
 
-std::vector<CounterModel::Action> CounterModel::enabled(const State& s) const {
-  std::vector<Action> out;
+void CounterModel::enabled(const State& s, std::vector<Action>& out) const {
+  out.clear();
   if (s.value < cap) out.push_back({1});
   if (buggy && s.value >= cap - 1 && s.value < cap + 1) out.push_back({2});
-  return out;
 }
 
 CounterModel::State CounterModel::apply(const State& s,
@@ -30,9 +29,8 @@ std::size_t HashValue(const CounterModel::State& s) {
 
 // --- PetersonModel ---
 
-std::vector<PetersonModel::Action> PetersonModel::enabled(
-    const State& s) const {
-  std::vector<Action> out;
+void PetersonModel::enabled(const State& s, std::vector<Action>& out) const {
+  out.clear();
   for (int p = 0; p < 2; ++p) {
     const int other = 1 - p;
     switch (s.loc[static_cast<std::size_t>(p)]) {
@@ -53,7 +51,6 @@ std::vector<PetersonModel::Action> PetersonModel::enabled(
         break;
     }
   }
-  return out;
 }
 
 PetersonModel::State PetersonModel::apply(const State& s,
@@ -99,10 +96,9 @@ std::size_t HashValue(const PetersonModel::State& s) {
 
 // --- LossyPingModel ---
 
-std::vector<LossyPingModel::Action> LossyPingModel::enabled(
-    const State& s) const {
-  std::vector<Action> out;
-  if (s.sender_got_ack) return out;  // done
+void LossyPingModel::enabled(const State& s, std::vector<Action>& out) const {
+  out.clear();
+  if (s.sender_got_ack) return;  // done
   const bool may_send = !s.ping_in_flight && !s.receiver_got_ping &&
                         (retransmit ? s.sends < 3 : s.sends < 1);
   if (may_send) out.push_back({Kind::kSend});
@@ -112,7 +108,6 @@ std::vector<LossyPingModel::Action> LossyPingModel::enabled(
   }
   if (s.receiver_got_ping && !s.ack_in_flight) out.push_back({Kind::kSendAck});
   if (s.ack_in_flight) out.push_back({Kind::kDeliverAck});
-  return out;
 }
 
 LossyPingModel::State LossyPingModel::apply(const State& s,
@@ -169,9 +164,8 @@ std::size_t HashValue(const LossyPingModel::State& s) {
 
 // --- DeadlockModel ---
 
-std::vector<DeadlockModel::Action> DeadlockModel::enabled(
-    const State& s) const {
-  std::vector<Action> out;
+void DeadlockModel::enabled(const State& s, std::vector<Action>& out) const {
+  out.clear();
   for (int p = 0; p < 2; ++p) {
     // Process p takes lock p first, then lock 1-p; holding both it releases
     // and restarts. A step is enabled iff the next lock is free.
@@ -185,7 +179,6 @@ std::vector<DeadlockModel::Action> DeadlockModel::enabled(
       out.push_back({p});
     }
   }
-  return out;
 }
 
 DeadlockModel::State DeadlockModel::apply(const State& s,
@@ -229,13 +222,12 @@ std::size_t HashValue(const DeadlockModel::State& s) {
 
 // --- IndepWorkersModel ---
 
-std::vector<IndepWorkersModel::Action> IndepWorkersModel::enabled(
-    const State& s) const {
-  std::vector<Action> out;
+void IndepWorkersModel::enabled(const State& s,
+                                std::vector<Action>& out) const {
+  out.clear();
   for (int w = 0; w < workers; ++w) {
     if (s.count[static_cast<std::size_t>(w)] < steps) out.push_back({w});
   }
-  return out;
 }
 
 IndepWorkersModel::State IndepWorkersModel::apply(const State& s,

@@ -29,7 +29,7 @@ struct CounterModel {
   };
 
   State initial() const { return {}; }
-  std::vector<Action> enabled(const State& s) const;
+  void enabled(const State& s, std::vector<Action>& out) const;
   State apply(const State& s, const Action& a) const;
   std::string describe(const Action& a) const;
 };
@@ -55,7 +55,7 @@ struct PetersonModel {
   };
 
   State initial() const { return {}; }
-  std::vector<Action> enabled(const State& s) const;
+  void enabled(const State& s, std::vector<Action>& out) const;
   State apply(const State& s, const Action& a) const;
   std::string describe(const Action& a) const;
 
@@ -93,7 +93,7 @@ struct LossyPingModel {
   };
 
   State initial() const { return {}; }
-  std::vector<Action> enabled(const State& s) const;
+  void enabled(const State& s, std::vector<Action>& out) const;
   State apply(const State& s, const Action& a) const;
   std::string describe(const Action& a) const;
 
@@ -117,7 +117,7 @@ struct DeadlockModel {
   };
 
   State initial() const { return {}; }
-  std::vector<Action> enabled(const State& s) const;
+  void enabled(const State& s, std::vector<Action>& out) const;
   State apply(const State& s, const Action& a) const;
   std::string describe(const Action& a) const;
 };
@@ -146,7 +146,7 @@ struct IndepWorkersModel {
   };
 
   State initial() const { return {}; }
-  std::vector<Action> enabled(const State& s) const;
+  void enabled(const State& s, std::vector<Action>& out) const;
   State apply(const State& s, const Action& a) const;
   std::string describe(const Action& a) const;
 

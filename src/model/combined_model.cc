@@ -25,47 +25,45 @@ CombinedModel::CombinedModel(Config config) : config_(config) {
   }
 }
 
-std::vector<CombinedModel::Action> CombinedModel::enabled(
-    const State& s) const {
-  std::vector<Action> acts;
+void CombinedModel::enabled(const State& s, std::vector<Action>& out) const {
+  out.clear();
   for (int i = 0; i < config_.ues; ++i) {
     const Ue& u = s.ue[static_cast<std::size_t>(i)];
     const std::uint8_t id = static_cast<std::uint8_t>(i);
     if (u.out_of_service) {
-      acts.push_back({Kind::kReattach, id});
+      out.push_back({Kind::kReattach, id});
       continue;
     }
     if (u.cm == Cm::kIdle && u.calls < config_.max_calls) {
-      acts.push_back({Kind::kDial, id});
+      out.push_back({Kind::kDial, id});
     }
     if (u.cm == Cm::kWant && u.serving == Sys::k4G) {
-      acts.push_back({Kind::kCsfbFallback, id});
+      out.push_back({Kind::kCsfbFallback, id});
     }
     if (u.serving == Sys::k3G && u.mm == Mm::kLuPending && !s.msc_busy) {
-      acts.push_back({Kind::kLuStart, id});
+      out.push_back({Kind::kLuStart, id});
     }
     if (u.mm == Mm::kLuRun) {
-      acts.push_back({Kind::kLuDone, id});
+      out.push_back({Kind::kLuDone, id});
     }
     if (u.serving == Sys::k3G && u.mm == Mm::kReg3G && u.cm == Cm::kWant) {
       if (!s.msc_busy) {
-        acts.push_back({Kind::kCallConnect, id});
+        out.push_back({Kind::kCallConnect, id});
       } else if (!config_.fix_queue_call) {
-        acts.push_back({Kind::kCallGiveUp, id});
+        out.push_back({Kind::kCallGiveUp, id});
       }
     }
     if (u.cm == Cm::kActive) {
-      acts.push_back({Kind::kHangup, id});
+      out.push_back({Kind::kHangup, id});
     }
     if (u.serving == Sys::k3G && u.ctx) {
-      acts.push_back({Kind::kPdpDeact, id});
+      out.push_back({Kind::kPdpDeact, id});
     }
     if (config_.switch_back && u.serving == Sys::k3G && u.cm == Cm::kDone &&
         u.mm == Mm::kReg3G && u.switches < config_.max_switches) {
-      acts.push_back({Kind::kSwitchBack, id});
+      out.push_back({Kind::kSwitchBack, id});
     }
   }
-  return acts;
 }
 
 CombinedModel::State CombinedModel::apply(const State& s,
@@ -256,19 +254,7 @@ mck::ReductionSpec<CombinedModel> CombinedModel::reduction() const {
 }
 
 std::size_t HashValue(const CombinedModel::State& s) {
-  mck::Hasher h;
-  for (const Ue& u : s.ue) {
-    h.Mix(u.serving)
-        .Mix(u.mm)
-        .Mix(u.cm)
-        .Mix(u.ctx)
-        .Mix(u.out_of_service)
-        .Mix(u.call_dropped)
-        .Mix(u.calls)
-        .Mix(u.switches);
-  }
-  h.Mix(s.msc_busy);
-  return h.Digest();
+  return mck::HashBytes(s);
 }
 
 }  // namespace cnv::model

@@ -113,7 +113,7 @@ struct CombinedModel {
   };
 
   State initial() const { return {}; }
-  std::vector<Action> enabled(const State& s) const;
+  void enabled(const State& s, std::vector<Action>& out) const;
   State apply(const State& s, const Action& a) const;
   std::string describe(const Action& a) const;
 

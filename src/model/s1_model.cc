@@ -13,11 +13,11 @@ S1Model::State S1Model::initial() const {
   return State{};
 }
 
-std::vector<S1Model::Action> S1Model::enabled(const State& s) const {
-  std::vector<Action> out;
+void S1Model::enabled(const State& s, std::vector<Action>& out) const {
+  out.clear();
   if (s.out_of_service) {
     out.push_back({Kind::kReattach, {}, {}});
-    return out;
+    return;
   }
   if (s.serving == Sys::k4G && s.switches < kMaxSwitches) {
     // All three usage settings of §5.1.1 can trigger the 4G->3G switch.
@@ -44,7 +44,6 @@ std::vector<S1Model::Action> S1Model::enabled(const State& s) const {
       out.push_back({Kind::kSwitchTo4G, {}, {}});
     }
   }
-  return out;
 }
 
 S1Model::State S1Model::apply(const State& s, const Action& a) const {
@@ -156,18 +155,6 @@ mck::PropertySet<S1Model::State> S1Model::Properties() {
 
 mck::ReductionSpec<S1Model> S1Model::reduction() const { return {}; }
 
-std::size_t HashValue(const S1Model::State& s) {
-  return mck::Hasher()
-      .Mix(s.serving)
-      .Mix(s.emm_registered)
-      .Mix(s.gmm_registered)
-      .Mix(s.eps_active)
-      .Mix(s.pdp_active)
-      .Mix(s.data_enabled)
-      .Mix(s.out_of_service)
-      .Mix(s.user_initiated_detach)
-      .Mix(s.switches)
-      .Digest();
-}
+std::size_t HashValue(const S1Model::State& s) { return mck::HashBytes(s); }
 
 }  // namespace cnv::model

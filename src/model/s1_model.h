@@ -72,7 +72,7 @@ struct S1Model {
   };
 
   State initial() const;
-  std::vector<Action> enabled(const State& s) const;
+  void enabled(const State& s, std::vector<Action>& out) const;
   State apply(const State& s, const Action& a) const;
   std::string describe(const Action& a) const;
 

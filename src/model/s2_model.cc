@@ -7,8 +7,8 @@ constexpr std::uint8_t kMaxAttachSends = 2;
 constexpr std::uint8_t kMaxTaus = 1;
 }  // namespace
 
-std::vector<S2Model::Action> S2Model::enabled(const State& s) const {
-  std::vector<Action> out;
+void S2Model::enabled(const State& s, std::vector<Action>& out) const {
+  out.clear();
   const bool unreliable = !config_.reliable_shim;
 
   if (s.ue == UeEmm::kDeregistered && s.uplink == Msg::kNone &&
@@ -53,7 +53,6 @@ std::vector<S2Model::Action> S2Model::enabled(const State& s) const {
       s.downlink == Msg::kNone && s.taus < kMaxTaus) {
     out.push_back({Kind::kUeTriggerTau});
   }
-  return out;
 }
 
 S2Model::State S2Model::apply(const State& s, const Action& a) const {
@@ -201,20 +200,6 @@ mck::PropertySet<S2Model::State> S2Model::Properties() {
 
 mck::ReductionSpec<S2Model> S2Model::reduction() const { return {}; }
 
-std::size_t HashValue(const S2Model::State& s) {
-  return mck::Hasher()
-      .Mix(s.ue)
-      .Mix(s.mme)
-      .Mix(s.ue_bearer)
-      .Mix(s.mme_bearer)
-      .Mix(s.uplink)
-      .Mix(s.deferred)
-      .Mix(s.downlink)
-      .Mix(s.attach_sends)
-      .Mix(s.taus)
-      .Mix(s.service_interrupted)
-      .Mix(s.out_of_service)
-      .Digest();
-}
+std::size_t HashValue(const S2Model::State& s) { return mck::HashBytes(s); }
 
 }  // namespace cnv::model

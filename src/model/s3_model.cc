@@ -17,8 +17,8 @@ bool S3Model::StuckIn3g(const State& s) const {
          s.data != DataRate::kNone;
 }
 
-std::vector<S3Model::Action> S3Model::enabled(const State& s) const {
-  std::vector<Action> out;
+void S3Model::enabled(const State& s, std::vector<Action>& out) const {
+  out.clear();
   if (s.data == DataRate::kNone) {
     if (config_.allow_low_rate) out.push_back({Kind::kStartData, DataRate::kLow});
     if (config_.allow_high_rate)
@@ -57,7 +57,6 @@ std::vector<S3Model::Action> S3Model::enabled(const State& s) const {
     }();
     if (switch_enabled) out.push_back({Kind::kSwitchBackTo4g, {}});
   }
-  return out;
 }
 
 S3Model::State S3Model::apply(const State& s, const Action& a) const {
@@ -146,17 +145,6 @@ mck::PropertySet<S3Model::State> S3Model::Properties() const {
 
 mck::ReductionSpec<S3Model> S3Model::reduction() const { return {}; }
 
-std::size_t HashValue(const S3Model::State& s) {
-  return mck::Hasher()
-      .Mix(s.serving)
-      .Mix(s.rrc3g)
-      .Mix(s.rrc4g)
-      .Mix(s.call)
-      .Mix(s.data)
-      .Mix(s.pdp_active)
-      .Mix(s.data_disrupted)
-      .Mix(s.calls)
-      .Digest();
-}
+std::size_t HashValue(const S3Model::State& s) { return mck::HashBytes(s); }
 
 }  // namespace cnv::model

@@ -6,8 +6,8 @@ namespace {
 constexpr std::uint8_t kBound = 2;
 }
 
-std::vector<S4Model::Action> S4Model::enabled(const State& s) const {
-  std::vector<Action> out;
+void S4Model::enabled(const State& s, std::vector<Action>& out) const {
+  out.clear();
   if (config_.model_cs) {
     if (s.mm == Mm::kIdle && s.lus < kBound) out.push_back({Kind::kTriggerLu});
     if (s.mm == Mm::kLuInProgress) out.push_back({Kind::kLuComplete});
@@ -44,7 +44,6 @@ std::vector<S4Model::Action> S4Model::enabled(const State& s) const {
       }
     }
   }
-  return out;
 }
 
 S4Model::State S4Model::apply(const State& s, const Action& a) const {
@@ -148,22 +147,6 @@ mck::PropertySet<S4Model::State> S4Model::Properties() {
 
 mck::ReductionSpec<S4Model> S4Model::reduction() const { return {}; }
 
-std::size_t HashValue(const S4Model::State& s) {
-  return mck::Hasher()
-      .Mix(s.mm)
-      .Mix(s.gmm)
-      .Mix(s.call_pending)
-      .Mix(s.call_active)
-      .Mix(s.data_pending)
-      .Mix(s.data_active)
-      .Mix(s.call_delayed)
-      .Mix(s.call_rejected)
-      .Mix(s.data_delayed)
-      .Mix(s.lus)
-      .Mix(s.raus)
-      .Mix(s.calls)
-      .Mix(s.datas)
-      .Digest();
-}
+std::size_t HashValue(const S4Model::State& s) { return mck::HashBytes(s); }
 
 }  // namespace cnv::model

@@ -75,7 +75,7 @@ struct S4Model {
   };
 
   State initial() const { return State{}; }
-  std::vector<Action> enabled(const State& s) const;
+  void enabled(const State& s, std::vector<Action>& out) const;
   State apply(const State& s, const Action& a) const;
   std::string describe(const Action& a) const;
 

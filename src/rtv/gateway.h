@@ -43,13 +43,15 @@ enum class Backpressure : std::uint8_t {
   kDropNewest,  // count-and-drop the arriving record when the ring is full
 };
 
-// Largest GatewayConfig::ring_capacity the gateway accepts, in records.
-inline constexpr std::size_t kMaxRingRecords = std::size_t{1} << 24;
+// Largest GatewayConfig::ring_capacity the gateway accepts, in records:
+// 2^20 slots take about 104 MiB.
+inline constexpr std::size_t kMaxRingRecords = std::size_t{1} << 20;
 
 struct GatewayConfig {
   // Records the hand-off ring holds, however many each Feed carries, in
   // [2, kMaxRingRecords]; rounded up to a power of two and allocated up
-  // front (about 104 bytes a record).
+  // front (about 104 bytes a record: 1.7 MiB at the default, about 104 MiB
+  // at the cap).
   std::size_t ring_capacity = 1 << 14;
   Backpressure backpressure = Backpressure::kBlock;
   // false = single-threaded: Feed() runs the monitors inline (no ring, no

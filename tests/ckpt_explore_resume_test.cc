@@ -322,6 +322,24 @@ TEST_F(CheckpointerRotationTest, BothDamagedReportsFreshStart) {
   EXPECT_EQ(rs.fallback, LoadStatus::kChecksumMismatch);
 }
 
+TEST_F(CheckpointerRotationTest, VersionTwoSnapshotIsRejected) {
+  // A v2 snapshot caches node hashes from before the screening models hashed
+  // their states as bytes; resuming it would intern duplicate states.
+  ExploreCheckpointer<M> cp(FreshDir("version-two"), "s3", kDigest);
+  WriteCheckpoints(cp);
+  mck::ExploreSnapshot<M> snap;
+  ASSERT_TRUE(cp.TryLoad(&snap).loaded);
+  const std::string payload = EncodeSnapshot<M>(snap);
+  for (const std::string& path : {cp.path(), cp.prev_path()}) {
+    ASSERT_TRUE(WriteCheckpointFile(path, PayloadType::kExploreSnapshot, 2,
+                                    kDigest, payload));
+  }
+  const auto rs = cp.TryLoad(&snap);
+  EXPECT_FALSE(rs.loaded);
+  EXPECT_EQ(rs.primary, LoadStatus::kBadVersion);
+  EXPECT_EQ(rs.fallback, LoadStatus::kBadVersion);
+}
+
 TEST_F(CheckpointerRotationTest, ConfigMismatchRefusesToLoad) {
   const std::string dir = FreshDir("config-mismatch");
   ExploreCheckpointer<M> cp(dir, "s3", kDigest);

@@ -183,11 +183,10 @@ struct CycleTrapModel {
   };
 
   State initial() const { return {}; }
-  std::vector<Action> enabled(const State& s) const {
-    std::vector<Action> acts;
-    acts.push_back({0});                  // flip: always enabled
-    if (!s.bad) acts.push_back({1});      // break: sets bad once
-    return acts;
+  void enabled(const State& s, std::vector<Action>& out) const {
+    out.clear();
+    out.push_back({0});              // flip: always enabled
+    if (!s.bad) out.push_back({1});  // break: sets bad once
   }
   State apply(const State& s, const Action& a) const {
     State next = s;

@@ -59,26 +59,25 @@ struct FuzzModel {
 
   State initial() const { return {}; }
 
-  std::vector<Action> enabled(const State& s) const {
-    std::vector<Action> acts;
+  void enabled(const State& s, std::vector<Action>& out) const {
+    out.clear();
     for (int c = 0; c < comps; ++c) {
       const std::uint8_t pc = s.pc[static_cast<std::size_t>(c)];
       for (std::size_t r = 0; r < locals.size(); ++r) {
         if (locals[r].from == pc) {
-          acts.push_back({static_cast<std::uint8_t>(c), false,
-                          static_cast<std::uint8_t>(r)});
+          out.push_back({static_cast<std::uint8_t>(c), false,
+                         static_cast<std::uint8_t>(r)});
         }
       }
       for (std::size_t r = 0; r < shareds.size(); ++r) {
         const SharedRule& sr = shareds[r];
         if (sr.from_pc == pc && s.shared >= sr.min_shared &&
             s.shared <= sr.max_shared) {
-          acts.push_back({static_cast<std::uint8_t>(c), true,
-                          static_cast<std::uint8_t>(r)});
+          out.push_back({static_cast<std::uint8_t>(c), true,
+                         static_cast<std::uint8_t>(r)});
         }
       }
     }
-    return acts;
   }
 
   State apply(const State& s, const Action& a) const {

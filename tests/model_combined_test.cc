@@ -18,7 +18,9 @@ TEST(CombinedModelTest, ConstructorRejectsUeCountOutsideRange) {
     CombinedModel::Config cfg;
     cfg.ues = ues;
     const CombinedModel m(cfg);
-    EXPECT_FALSE(m.enabled(m.initial()).empty()) << ues;
+    std::vector<CombinedModel::Action> actions;
+    m.enabled(m.initial(), actions);
+    EXPECT_FALSE(actions.empty()) << ues;
   }
 }
 

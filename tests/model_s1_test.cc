@@ -59,7 +59,8 @@ TEST(S1ModelTest, EveryTable3CauseIsExplored) {
   S1Model m;
   auto s = m.initial();
   s = m.apply(s, {S1Model::Kind::kSwitchTo3G, SwitchReason::kMobility, {}});
-  const auto actions = m.enabled(s);
+  std::vector<S1Model::Action> actions;
+  m.enabled(s, actions);
   int deact_count = 0;
   for (const auto& a : actions) {
     if (a.kind == S1Model::Kind::kDeactivatePdp) ++deact_count;
@@ -75,7 +76,8 @@ TEST(S1ModelTest, ReattachRecoversService) {
                   nas::PdpDeactCause::kOperatorDeterminedBarring});
   s = m.apply(s, {S1Model::Kind::kSwitchTo4G, {}, {}});
   ASSERT_TRUE(s.out_of_service);
-  const auto actions = m.enabled(s);
+  std::vector<S1Model::Action> actions;
+  m.enabled(s, actions);
   ASSERT_EQ(actions.size(), 1u);  // only recovery is possible while detached
   EXPECT_EQ(actions[0].kind, S1Model::Kind::kReattach);
   s = m.apply(s, actions[0]);

@@ -103,7 +103,9 @@ TEST(S2ModelTest, ShimDisablesLossAndDeferActions) {
   S2Model m(cfg);
   auto s = m.initial();
   s = m.apply(s, {S2Model::Kind::kUeSendAttach});
-  for (const auto& a : m.enabled(s)) {
+  std::vector<S2Model::Action> actions;
+  m.enabled(s, actions);
+  for (const auto& a : actions) {
     EXPECT_NE(a.kind, S2Model::Kind::kLoseUplink);
     EXPECT_NE(a.kind, S2Model::Kind::kDeferUplink);
   }

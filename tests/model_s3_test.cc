@@ -102,7 +102,9 @@ TEST(S3ModelTest, WithoutDataTheCallEventuallyReturnsTo4g) {
   EXPECT_EQ(s.rrc3g, Rrc3g::kIdle);
   // Now reselection is enabled.
   bool switch_enabled = false;
-  for (const auto& a : m.enabled(s)) {
+  std::vector<S3Model::Action> actions;
+  m.enabled(s, actions);
+  for (const auto& a : actions) {
     switch_enabled |= a.kind == S3Model::Kind::kSwitchBackTo4g;
   }
   EXPECT_TRUE(switch_enabled);
@@ -117,7 +119,9 @@ TEST(S3ModelTest, StuckStateOffersNoSwitchAction) {
   s = m.apply(s, {S3Model::Kind::kMakeCsfbCall, {}});
   s = m.apply(s, {S3Model::Kind::kEndCall, {}});
   ASSERT_TRUE(m.StuckIn3g(s));
-  for (const auto& a : m.enabled(s)) {
+  std::vector<S3Model::Action> actions;
+  m.enabled(s, actions);
+  for (const auto& a : actions) {
     EXPECT_NE(a.kind, S3Model::Kind::kSwitchBackTo4g);
     EXPECT_NE(a.kind, S3Model::Kind::kRrcDemote);  // DCH pinned by data
   }

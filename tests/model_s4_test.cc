@@ -43,7 +43,9 @@ TEST(S4ModelTest, WaitNetCmdChainEffectAlsoBlocks) {
   EXPECT_EQ(s.mm, S4Model::Mm::kWaitNetCmd);
   s = m.apply(s, {S4Model::Kind::kUserDialsCall});
   bool can_serve = false, can_defer = false;
-  for (const auto& a : m.enabled(s)) {
+  std::vector<S4Model::Action> actions;
+  m.enabled(s, actions);
+  for (const auto& a : actions) {
     can_serve |= a.kind == S4Model::Kind::kServeCall;
     can_defer |= a.kind == S4Model::Kind::kDeferCall;
   }
@@ -56,7 +58,9 @@ TEST(S4ModelTest, CallServedNormallyWhenMmIdle) {
   auto s = m.initial();
   s = m.apply(s, {S4Model::Kind::kUserDialsCall});
   bool can_serve = false;
-  for (const auto& a : m.enabled(s)) {
+  std::vector<S4Model::Action> actions;
+  m.enabled(s, actions);
+  for (const auto& a : actions) {
     can_serve |= a.kind == S4Model::Kind::kServeCall;
     EXPECT_NE(a.kind, S4Model::Kind::kDeferCall);
   }
@@ -84,7 +88,9 @@ TEST(S4ModelTest, DecoupledServesCallDuringUpdate) {
   s = m.apply(s, {S4Model::Kind::kTriggerLu});
   s = m.apply(s, {S4Model::Kind::kUserDialsCall});
   bool can_serve = false;
-  for (const auto& a : m.enabled(s)) {
+  std::vector<S4Model::Action> actions;
+  m.enabled(s, actions);
+  for (const auto& a : actions) {
     can_serve |= a.kind == S4Model::Kind::kServeCall;
     EXPECT_NE(a.kind, S4Model::Kind::kDeferCall);
     EXPECT_NE(a.kind, S4Model::Kind::kRejectCall);
