@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <sstream>
+#include <string>
+
 #include "core/findings.h"
 
 namespace cnv::core {
@@ -126,6 +130,49 @@ TEST(ScreeningTest, DeterministicAcrossRuns) {
   const auto b = runner.RunAll();
   EXPECT_EQ(a.total_states, b.total_states);
   EXPECT_EQ(a.findings_found, b.findings_found);
+}
+
+// FNV-1a of the formatted report with every line that mentions `wall`
+// removed: the report minus its wall-clock figures.
+std::uint64_t ReportDigest(const ScreeningReport& report) {
+  std::istringstream in(ScreeningRunner::Format(report));
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("wall") != std::string::npos) continue;
+    for (const char c : line + "\n") {
+      h ^= static_cast<unsigned char>(c);
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+// The formatted report at 50 walks, seed 1, with and without the remedies
+// and with and without POR + symmetry, pinned to digests recorded before
+// the runner moved from the sharded explorer onto mck::Explore. Any change
+// to what screening finds, counts or prints shows up here.
+TEST(ScreeningTest, ReportMatchesRecordedDigests) {
+  struct Pin {
+    bool with_solutions;
+    bool reduce;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {false, false, 0x74be5171839d47eaULL},
+      {false, true, 0x74be5171839d47eaULL},
+      {true, false, 0x1ea8144107a85340ULL},
+      {true, true, 0x1ea8144107a85340ULL},
+  };
+  for (const auto& pin : pins) {
+    ScreeningOptions opt;
+    opt.random_walks = 50;
+    opt.seed = 1;
+    opt.with_solutions = pin.with_solutions;
+    opt.reduction.por = pin.reduce;
+    opt.reduction.symmetry = pin.reduce;
+    EXPECT_EQ(ReportDigest(ScreeningRunner(opt).RunAll()), pin.digest)
+        << "solutions=" << pin.with_solutions << " reduce=" << pin.reduce;
+  }
 }
 
 }  // namespace
