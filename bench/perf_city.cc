@@ -15,6 +15,8 @@
 //   --full              extend the sweep to 1M UEs
 //   --ues N             single run at N UEs instead of the sweep
 //   --jobs N            worker threads for wheel runs (0 = hardware)
+// Malformed values exit 2: --ues outside [1, 2^32 - 1], a negative --jobs,
+// a negative or non-numeric --seed.
 //   --baseline          single run uses the heap kernel
 //   --emit-trace        single run prints its sampled QXDM trace to stdout
 //   --overload          single run starves attach admission (storm/backoff)
@@ -23,7 +25,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,7 @@
 #include "par/pool.h"
 #include "stack/city.h"
 #include "trace/qxdm.h"
+#include "util/args.h"
 
 namespace cnv {
 namespace {
@@ -155,47 +157,33 @@ std::string JsonRow(const CityOutcome& o) {
 
 int main(int argc, char** argv) {
   using namespace cnv;
+  args::ArgParser parser(
+      argc, argv,
+      "usage: perf_city [--bench-json PATH] [--quick] [--full] [--ues N]\n"
+      "                 [--jobs N] [--baseline] [--emit-trace] [--overload]\n"
+      "                 [--seed S]");
   std::string json_path = "BENCH_perf_city.json";
-  bool quick = false;
-  bool full = false;
-  bool baseline = false;
-  bool emit_trace = false;
-  bool overload = false;
-  std::uint32_t single_ues = 0;
-  std::uint64_t seed = 1;
+  parser.StrValue("--bench-json", &json_path);
+  const bool quick = parser.Flag("--quick");
+  const bool full = parser.Flag("--full");
+  const bool baseline = parser.Flag("--baseline");
+  const bool emit_trace = parser.Flag("--emit-trace");
+  const bool overload = parser.Flag("--overload");
+  std::uint64_t ues = 0;
+  const bool single = parser.U64Value("--ues", &ues);
   int jobs = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--bench-json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--full") == 0) {
-      full = true;
-    } else if (std::strcmp(argv[i], "--baseline") == 0) {
-      baseline = true;
-    } else if (std::strcmp(argv[i], "--emit-trace") == 0) {
-      emit_trace = true;
-    } else if (std::strcmp(argv[i], "--overload") == 0) {
-      overload = true;
-    } else if (std::strcmp(argv[i], "--ues") == 0 && i + 1 < argc) {
-      single_ues = static_cast<std::uint32_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--bench-json PATH] [--quick] [--full] "
-                   "[--ues N] [--jobs N] [--baseline] [--emit-trace] "
-                   "[--overload] [--seed S]\n",
-                   argv[0]);
-      return 2;
-    }
+  parser.IntValue("--jobs", &jobs, 0);
+  std::uint64_t seed = 1;
+  parser.U64Value("--seed", &seed);
+  parser.Finish(0);
+  if (single && (ues == 0 || ues > UINT32_MAX)) {
+    parser.Fail("--ues must be in [1, " + std::to_string(UINT32_MAX) + "]");
   }
+  const auto single_ues = static_cast<std::uint32_t>(ues);
   const int wheel_jobs = par::ResolveJobs(jobs);
 
   // Single-run mode: one population, optionally heap kernel / trace tap.
-  if (single_ues > 0) {
+  if (single) {
     stack::CityConfig cfg = ConfigFor(single_ues, seed);
     if (overload) {
       // Capacity-starved variant: the attach front overwhelms admission, so

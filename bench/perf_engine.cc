@@ -4,20 +4,16 @@
 //
 // Pass `--bench-json PATH` (stripped before google-benchmark sees the
 // command line) to additionally write a machine-readable report of the
-// explorer headline numbers — serial wall seconds and states/second on the
-// Peterson and S2 full-space workloads, plus the parallel engine's wall
-// time and speedup at hardware concurrency. CI consumes this as
-// BENCH_engine.json.
+// explorer headline numbers — wall seconds and states/second on the
+// Peterson and S2 full-space workloads, plus the state-space reduction
+// factors. CI consumes this as BENCH_engine.json.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <string>
 
-#include "ckpt/explore_ckpt.h"
-#include "mck/parallel_explorer.h"
+#include "mck/explorer.h"
 #include "mck/random_walk.h"
 #include "obs/export.h"
 #include "mck/toy_models.h"
@@ -243,7 +239,7 @@ std::string JsonEntry(const std::string& name, std::uint64_t states,
          "}";
 }
 
-// Serial + parallel explorer headline numbers, written as JSON.
+// Explorer headline numbers, written as JSON.
 bool WriteBenchJson(const std::string& path) {
   mck::toys::PetersonModel peterson;
   mck::PropertySet<mck::toys::PetersonModel::State> mutex_prop = {
@@ -263,73 +259,12 @@ bool WriteBenchJson(const std::string& path) {
   const auto s2_ref = mck::Explore(s2, {}, full);
   const double s2_secs = TimeBest(20, [&] { (void)mck::Explore(s2, {}, full); });
 
-  mck::ParallelExploreOptions popt;
-  popt.base = full;
-  popt.jobs = 0;  // hardware
-  const auto s2_par_ref = mck::ParallelExplore(s2, {}, popt);
-  const double s2_par_secs =
-      TimeBest(20, [&] { (void)mck::ParallelExplore(s2, {}, popt); });
-
-  // Checkpoint overhead: the same serial S2 full-space exploration with
-  // snapshot hooks armed at a 5000-state cadence — the steady-state cost a
-  // checkpoint-enabled run pays between snapshot writes (hash caching and
-  // cadence checks; the writes themselves amortize over the cadence). A
-  // single explore is ~5us, far too small for a stable ratio, so each
-  // sample times a batch. The crash-safety budget is < 5% over the
-  // checkpoint-disabled run.
-  const std::string ckpt_dir =
-      (std::filesystem::temp_directory_path() / "cnv_perf_engine_ckpt")
-          .string();
-  constexpr int kCkptBatch = 2000;
-  ckpt::ExploreCheckpointer<model::S2Model> checkpointer(
-      ckpt_dir, "bench_s2", /*config_digest=*/1, /*every_states=*/5000);
-  const auto plain_batch = [&] {
-    for (int i = 0; i < kCkptBatch; ++i) (void)mck::Explore(s2, {}, full);
-  };
-  const auto ckpt_batch = [&] {
-    for (int i = 0; i < kCkptBatch; ++i) {
-      (void)mck::Explore(s2, {}, full, checkpointer.hooks(nullptr));
-    }
-  };
-  // Interleave the reps so frequency scaling, cache state and thermal drift
-  // hit both variants alike — back-to-back blocks showed swings larger than
-  // the budget itself.
-  plain_batch();
-  ckpt_batch();  // warm-up
-  double s2_batch_secs = 1e300;
-  double s2_ckpt_secs = 1e300;
-  for (int r = 0; r < 20; ++r) {
-    s2_batch_secs = std::min(s2_batch_secs, TimeBest(1, plain_batch));
-    s2_ckpt_secs = std::min(s2_ckpt_secs, TimeBest(1, ckpt_batch));
-  }
-  std::error_code ec;
-  std::filesystem::remove_all(ckpt_dir, ec);
-  const double ckpt_overhead_pct =
-      s2_batch_secs > 0 ? (s2_ckpt_secs / s2_batch_secs - 1.0) * 100.0 : 0.0;
-  const bool ckpt_within_budget = ckpt_overhead_pct < 5.0;
-  std::printf("checkpoint overhead on explore_s2_full: %.2f%% — %s 5%% budget\n",
-              ckpt_overhead_pct, ckpt_within_budget ? "within" : "EXCEEDS");
-
   std::string json = "{\n  \"engine\": {\n";
   json += JsonEntry("explore_peterson", peterson_ref.stats.states_visited,
                     peterson_secs) +
           ",\n";
-  json += JsonEntry("explore_s2_full", s2_ref.stats.states_visited, s2_secs) +
-          ",\n";
-  json += JsonEntry("parallel_explore_s2_full",
-                    s2_par_ref.stats.states_visited, s2_par_secs);
-  json += "\n  },\n  \"parallel\": {\"jobs\": " +
-          std::to_string(s2_par_ref.par.jobs) +
-          ", \"speedup_vs_serial\": " +
-          std::to_string(s2_par_secs > 0 ? s2_secs / s2_par_secs : 0.0) +
-          "},\n";
-  json += "  \"checkpoint\": {\"batch_explores\": " +
-          std::to_string(kCkptBatch) +
-          ", \"wall_seconds_plain\": " + std::to_string(s2_batch_secs) +
-          ", \"wall_seconds_checkpointed\": " + std::to_string(s2_ckpt_secs) +
-          ", \"overhead_pct\": " + std::to_string(ckpt_overhead_pct) +
-          ", \"budget_pct\": 5.0, \"within_budget\": " +
-          (ckpt_within_budget ? "true" : "false") + "},\n";
+  json += JsonEntry("explore_s2_full", s2_ref.stats.states_visited, s2_secs);
+  json += "\n  },\n";
 
   // State-space reduction factors: unreduced vs POR+symmetry state counts
   // on the symmetric workloads. The independent-workers product is the

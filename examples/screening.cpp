@@ -3,14 +3,13 @@
 // per-cell exploration statistics, violated properties and classified
 // findings.
 //
-// Usage:  ./screening [--jobs N] [--walks W] [--seed S] [--solutions]
+// Usage:  ./screening [--walks W] [--seed S] [--solutions]
 //                     [--checkpoint-dir DIR] [--resume]
-//                     [--backend thread|process] [--workers N]
-//                     [--heartbeat-ms T] [--quarantine-after K]
-//   --jobs N     explore each cell on N workers (default 0 = hardware
-//                concurrency, 1 = serial). Findings, violated properties
-//                and counterexamples are byte-identical at any N; only the
-//                wall-clock lines differ between runs.
+//                     [--backend thread|process]
+//                     [--heartbeat-ms T] [--quarantine-after K] [--reduce]
+//   Each cell is explored on one thread (mck::Explore). Findings, violated
+//   properties and counterexamples are deterministic; only the wall-clock
+//   lines differ between runs.
 //   --walks W    random walks per cell on top of the exhaustive pass
 //                (default 200)
 //   --seed S     RNG seed for the random walks (default 1)
@@ -29,7 +28,6 @@
 //                --quarantine-after strikes). The catalog is a chained
 //                grid — cells always run in order — and the report is
 //                byte-identical either way.
-//   --workers N  alias for --jobs (whichever is given last wins)
 //   --heartbeat-ms T / --quarantine-after K
 //                process-backend liveness deadline and poisoned-cell strike
 //                budget (defaults 2000 ms, 3 strikes)
@@ -48,33 +46,28 @@ using namespace cnv;
 int main(int argc, char** argv) {
   args::ArgParser parser(
       argc, argv,
-      "usage: screening [--jobs N] [--walks W] [--seed S] [--solutions]\n"
+      "usage: screening [--walks W] [--seed S] [--solutions]\n"
       "                 [--checkpoint-dir DIR] [--resume]\n"
-      "                 [--backend thread|process] [--workers N]\n"
+      "                 [--backend thread|process]\n"
       "                 [--heartbeat-ms T] [--quarantine-after K] [--reduce]");
   core::ScreeningOptions opt;
-  opt.jobs = 0;
   opt.with_solutions = parser.Flag("--solutions");
   if (parser.Flag("--reduce")) {
     opt.reduction.por = true;
     opt.reduction.symmetry = true;
   }
-  parser.IntValue("--jobs", &opt.jobs, 0);
   parser.U64Value("--walks", &opt.random_walks);
   parser.U64Value("--seed", &opt.seed);
   parser.StrValue("--checkpoint-dir", &opt.checkpoint_dir);
   opt.resume = parser.Flag("--resume");
   std::string backend_spec = "thread";
   parser.StrValue("--backend", &backend_spec);
-  int workers = -1;
-  parser.IntValue("--workers", &workers, -1);
   parser.I64Value("--heartbeat-ms", &opt.heartbeat_ms, 2000);
   parser.IntValue("--quarantine-after", &opt.quarantine_after, 3);
   parser.Finish(0);
   if (opt.resume && opt.checkpoint_dir.empty()) {
     parser.Fail("--resume requires --checkpoint-dir");
   }
-  if (workers >= 0) opt.jobs = workers;
   if (!dist::ParseBackend(backend_spec, &opt.backend)) {
     parser.Fail("--backend must be 'thread' or 'process', got '" +
                 backend_spec + "'");

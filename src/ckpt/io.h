@@ -6,8 +6,8 @@
 //
 //   magic           8 bytes  "CNVCKPT\0"
 //   format_version  u32      envelope layout version (kFormatVersion)
-//   payload_type    u32      caller-chosen discriminator (explore snapshot,
-//                            campaign manifest, campaign cell, ...)
+//   payload_type    u32      caller-chosen discriminator (campaign
+//                            manifest, campaign cell, ...)
 //   payload_version u32      caller-chosen payload layout version
 //   config_digest   u64      FNV-1a digest of the producing configuration;
 //                            a resume with a different config is rejected
@@ -187,16 +187,13 @@ class BinaryReader {
 
 inline constexpr std::uint32_t kFormatVersion = 1;
 
+// Values are on-disk; never renumber. 1 (explore snapshot) and 6 (frontier
+// shard) are retired and must not be reused.
 enum class PayloadType : std::uint32_t {
-  kExploreSnapshot = 1,
   kCampaignManifest = 2,
   kCampaignCell = 3,
   kScreeningCell = 4,
   kConformanceCell = 5,
-  // Disk-backed frontier staging of ParallelExplore (mck/spill.h): one
-  // (wave, shard, worker) candidate run per file, deleted after the wave
-  // consumes it.
-  kFrontierShard = 6,
 };
 
 enum class LoadStatus {

@@ -6,7 +6,6 @@
 
 #include "ckpt/io.h"
 #include "dist/coordinator.h"
-#include "mck/parallel_explorer.h"
 #include "mck/random_walk.h"
 #include "model/s1_model.h"
 #include "model/s2_model.h"
@@ -24,16 +23,13 @@ template <typename M>
 ScenarioCellResult ExploreCell(const std::string& name, const M& m,
                                const mck::PropertySet<typename M::State>& props,
                                FindingId classify_as, Rng& rng,
-                               const ScreeningOptions& options,
-                               dist::Executor& exec) {
+                               const ScreeningOptions& options) {
   ScenarioCellResult cell;
   cell.cell = name;
 
-  // The exhaustive pass runs on the shared worker pool; results are
-  // byte-identical to serial mck::Explore at any worker count.
-  mck::ParallelExploreOptions popt;
-  popt.base.reduction = options.reduction;
-  const auto result = mck::ParallelExplore(m, props, popt, &exec);
+  mck::ExploreOptions eopt;
+  eopt.reduction = options.reduction;
+  const auto result = mck::Explore(m, props, eopt);
   cell.stats = result.stats;
   for (const auto& v : result.violations) {
     cell.violated_properties.push_back(v.property);
@@ -70,7 +66,7 @@ ScenarioCellResult ExploreCell(const std::string& name, const M& m,
 // cell granularity.
 struct CellSpec {
   std::string name;
-  std::function<ScenarioCellResult(Rng&, dist::Executor&)> run;
+  std::function<ScenarioCellResult(Rng&)> run;
 };
 
 std::vector<CellSpec> BuildCatalog(const ScreeningOptions& options) {
@@ -84,11 +80,11 @@ std::vector<CellSpec> BuildCatalog(const ScreeningOptions& options) {
     cfg.fix_reactivate_bearer = fix;
     catalog.push_back(
         {"S1 model / inter-system switches x all PDP deactivation causes",
-         [cfg, options](Rng& rng, dist::Executor& exec) {
+         [cfg, options](Rng& rng) {
       model::S1Model m(cfg);
       return ExploreCell(
           "S1 model / inter-system switches x all PDP deactivation causes", m,
-          model::S1Model::Properties(), FindingId::kS1, rng, options, exec);
+          model::S1Model::Properties(), FindingId::kS1, rng, options);
     }});
   }
   {
@@ -98,11 +94,11 @@ std::vector<CellSpec> BuildCatalog(const ScreeningOptions& options) {
     cfg.fix_reactivate_bearer = fix;
     catalog.push_back(
         {"S1 model / network-initiated deactivations only",
-         [cfg, options](Rng& rng, dist::Executor& exec) {
+         [cfg, options](Rng& rng) {
       model::S1Model m(cfg);
       return ExploreCell("S1 model / network-initiated deactivations only", m,
                          model::S1Model::Properties(), FindingId::kS1, rng,
-                         options, exec);
+                         options);
     }});
   }
 
@@ -113,11 +109,11 @@ std::vector<CellSpec> BuildCatalog(const ScreeningOptions& options) {
     cfg.reliable_shim = fix;
     catalog.push_back(
         {"S2 model / lost signaling (Figure 5a)",
-         [cfg, options](Rng& rng, dist::Executor& exec) {
+         [cfg, options](Rng& rng) {
       model::S2Model m(cfg);
       return ExploreCell("S2 model / lost signaling (Figure 5a)", m,
                          model::S2Model::Properties(), FindingId::kS2, rng,
-                         options, exec);
+                         options);
     }});
   }
   {
@@ -126,11 +122,11 @@ std::vector<CellSpec> BuildCatalog(const ScreeningOptions& options) {
     cfg.reliable_shim = fix;
     catalog.push_back(
         {"S2 model / duplicate signaling (Figure 5b)",
-         [cfg, options](Rng& rng, dist::Executor& exec) {
+         [cfg, options](Rng& rng) {
       model::S2Model m(cfg);
       return ExploreCell("S2 model / duplicate signaling (Figure 5b)", m,
                          model::S2Model::Properties(), FindingId::kS2, rng,
-                         options, exec);
+                         options);
     }});
   }
   {
@@ -138,11 +134,11 @@ std::vector<CellSpec> BuildCatalog(const ScreeningOptions& options) {
     cfg.reliable_shim = fix;
     catalog.push_back(
         {"S2 model / loss + duplication combined",
-         [cfg, options](Rng& rng, dist::Executor& exec) {
+         [cfg, options](Rng& rng) {
       model::S2Model m(cfg);
       return ExploreCell("S2 model / loss + duplication combined", m,
                          model::S2Model::Properties(), FindingId::kS2, rng,
-                         options, exec);
+                         options);
     }});
   }
 
@@ -155,10 +151,10 @@ std::vector<CellSpec> BuildCatalog(const ScreeningOptions& options) {
     cfg.fix_csfb_tag = fix;
     catalog.push_back(
         {"S3 model / " + model::ToString(policy),
-         [cfg, policy, options](Rng& rng, dist::Executor& exec) {
+         [cfg, policy, options](Rng& rng) {
       model::S3Model m(cfg);
       return ExploreCell("S3 model / " + model::ToString(policy), m,
-                         m.Properties(), FindingId::kS3, rng, options, exec);
+                         m.Properties(), FindingId::kS3, rng, options);
     }});
   }
 
@@ -169,11 +165,11 @@ std::vector<CellSpec> BuildCatalog(const ScreeningOptions& options) {
     cfg.decoupled = fix;
     catalog.push_back(
         {"S4 model / CS domain (CM over MM)",
-         [cfg, options](Rng& rng, dist::Executor& exec) {
+         [cfg, options](Rng& rng) {
       model::S4Model m(cfg);
       return ExploreCell("S4 model / CS domain (CM over MM)", m,
                          model::S4Model::Properties(), FindingId::kS4, rng,
-                         options, exec);
+                         options);
     }});
   }
   {
@@ -182,11 +178,11 @@ std::vector<CellSpec> BuildCatalog(const ScreeningOptions& options) {
     cfg.decoupled = fix;
     catalog.push_back(
         {"S4 model / PS domain (SM over GMM)",
-         [cfg, options](Rng& rng, dist::Executor& exec) {
+         [cfg, options](Rng& rng) {
       model::S4Model m(cfg);
       return ExploreCell("S4 model / PS domain (SM over GMM)", m,
                          model::S4Model::Properties(), FindingId::kS4, rng,
-                         options, exec);
+                         options);
     }});
   }
   {
@@ -194,11 +190,11 @@ std::vector<CellSpec> BuildCatalog(const ScreeningOptions& options) {
     cfg.decoupled = fix;
     catalog.push_back(
         {"S4 model / both domains",
-         [cfg, options](Rng& rng, dist::Executor& exec) {
+         [cfg, options](Rng& rng) {
       model::S4Model m(cfg);
       return ExploreCell("S4 model / both domains", m,
                          model::S4Model::Properties(), FindingId::kS4, rng,
-                         options, exec);
+                         options);
     }});
   }
 
@@ -290,9 +286,7 @@ std::uint64_t ScreeningRunner::ConfigDigest() const {
 // The catalog as a *chained* cell grid: the shared random-walk RNG stream
 // is the chain carry (cell i's carry-in is the post-cell-(i-1) RNG state),
 // which is exactly what the cell blobs have always recorded — so process
-// workers, retries and resumes all re-enter the stream stream-exactly. The
-// intra-cell executor is created lazily on first use *in each process*, so
-// a forked worker never inherits another process's threads.
+// workers, retries and resumes all re-enter the stream stream-exactly.
 class ScreeningGrid final : public dist::CellGrid {
  public:
   ScreeningGrid(const std::vector<CellSpec>& catalog,
@@ -328,10 +322,7 @@ class ScreeningGrid final : public dist::CellGrid {
       out.error = "undecodable RNG carry";
       return out;
     }
-    if (exec_ == nullptr) {
-      exec_ = std::make_unique<dist::Executor>(options_.jobs);
-    }
-    const ScenarioCellResult cell = catalog_[i].run(rng, *exec_);
+    const ScenarioCellResult cell = catalog_[i].run(rng);
     out.carry = rng.SaveState();
     out.payload = EncodeCell(cell, out.carry);
     return out;
@@ -340,7 +331,6 @@ class ScreeningGrid final : public dist::CellGrid {
  private:
   const std::vector<CellSpec>& catalog_;
   const ScreeningOptions& options_;
-  std::unique_ptr<dist::Executor> exec_;  // lazy: fork safety
 };
 
 ScreeningReport ScreeningRunner::RunAll() const {
@@ -350,7 +340,6 @@ ScreeningReport ScreeningRunner::RunAll() const {
   ScreeningGrid grid(catalog, options_);
   dist::DistOptions opt;
   opt.backend = options_.backend;
-  opt.workers = options_.jobs;  // chained: fleet of 1; jobs drive the cell
   opt.heartbeat_ms = options_.heartbeat_ms;
   opt.quarantine_after = options_.quarantine_after;
   opt.retry = options_.retry;

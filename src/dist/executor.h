@@ -1,26 +1,18 @@
 // The one in-process dispatch implementation of the distributed execution
-// core. Every parallel runner — the grid coordinator's thread backend,
-// mck::ParallelExplore's wave phases, and anything else that needs
-// deterministic fan-out — dispatches through an Executor rather than
-// wiring its own pool, so slice determinism, drain semantics and busy
-// accounting live in exactly one place.
+// core. Every parallel runner — the grid coordinator's thread backend and
+// anything else that needs deterministic fan-out — dispatches through an
+// Executor rather than wiring its own pool, so drain semantics live in
+// exactly one place.
 //
 // The Executor wraps par::WorkerPool (the low-level thread primitive) and
-// re-exports its two deterministic shapes:
-//
-//   ParallelFor        contiguous slices of [0, n); the split depends only
-//                      on (n, jobs) — the shape wave-synchronized
-//                      algorithms need for byte-identical merges.
-//   ParallelEachUntil  dynamically claimed indices with a graceful drain —
-//                      the shape for irregular cell grids, where results
-//                      are merged by index so scheduling never shows.
+// re-exports its grid shape, ParallelEachUntil: dynamically claimed indices
+// with a graceful drain, for irregular cell grids whose results are merged
+// by index so scheduling never shows.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <functional>
-#include <memory>
-#include <vector>
 
 #include "par/pool.h"
 
@@ -34,17 +26,6 @@ class Executor {
 
   int jobs() const { return pool_.jobs(); }
 
-  void ParallelFor(
-      std::size_t n,
-      const std::function<void(int, std::size_t, std::size_t)>& fn) {
-    pool_.ParallelFor(n, fn);
-  }
-
-  void ParallelEach(std::size_t n,
-                    const std::function<void(int, std::size_t)>& fn) {
-    pool_.ParallelEach(n, fn);
-  }
-
   // Once *stop becomes true, workers finish claimed indices and claim no
   // more; the call still barriers. stop == nullptr never drains.
   void ParallelEachUntil(std::size_t n,
@@ -52,9 +33,6 @@ class Executor {
                          const std::atomic<bool>* stop) {
     pool_.ParallelEachUntil(n, fn, stop);
   }
-
-  // Cumulative per-worker busy seconds; telemetry only.
-  std::vector<double> BusySeconds() const { return pool_.BusySeconds(); }
 
  private:
   par::WorkerPool pool_;

@@ -16,30 +16,24 @@
 //   };
 //   std::size_t HashValue(const M::State&);           // found by ADL
 //
-// Each engine owns its successor buffers (one per worker in
-// ParallelExplore) and hands them to `enabled` state after state, so a
-// search allocates only while a buffer grows to the model's widest fan-out.
-// A State made only of byte-sized fields hashes as bytes
-// (`return mck::HashBytes(s);`, mck/hash.h).
+// The explorer owns one successor buffer and hands it to `enabled` state
+// after state, so a search allocates only while the buffer grows to the
+// model's widest fan-out. A State made only of byte-sized fields hashes as
+// bytes (`return mck::HashBytes(s);`, mck/hash.h).
 //
-// BFS yields shortest counterexamples (used for reporting); DFS uses less
-// bookkeeping per state and honours a depth bound (used for soak runs).
-//
-// BFS runs in depth-synchronized waves: the whole frontier at depth d is
+// The search is breadth-first, so every counterexample is a shortest one. It
+// runs in depth-synchronized waves: the whole frontier at depth d is
 // expanded before any state at depth d+1, states are interned in expansion
 // order, and early exit (all properties violated) and max_states truncation
 // take effect at deterministic points — truncation accepts new states in
 // expansion order up to the cap, then finishes counting the wave's
-// transitions and stops. These wave semantics are exactly what
-// ParallelExplore (mck/parallel_explorer.h) reproduces at any worker count,
-// which is why serial and parallel results are byte-identical.
+// transitions and stops.
 #pragma once
 
 #include <algorithm>
 #include <chrono>
 #include <concepts>
 #include <cstdint>
-#include <functional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -63,25 +57,18 @@ concept CheckableModel = requires(const M m, const typename M::State s,
   { HashValue(s) } -> std::convertible_to<std::size_t>;
 };
 
-enum class SearchOrder { kBreadthFirst, kDepthFirst };
-
 struct ExploreOptions {
-  SearchOrder order = SearchOrder::kBreadthFirst;
   // Stop exploring after this many distinct states (0 = unlimited).
   std::uint64_t max_states = 2'000'000;
-  // Do not explore beyond this depth (0 = unlimited).
-  std::uint64_t max_depth = 0;
   // Report at most one counterexample per property.
   bool first_violation_per_property = true;
   // Also report reachable states with no enabled transitions ("deadlocks").
   // States for which the model's optional `is_final(state)` returns true are
   // successful terminations, not deadlocks.
   bool detect_deadlock = false;
-  // State-space reduction switches (mck/reduction.h). BFS only: the DFS
-  // order ignores them (its stack-based cycle proviso is not implemented),
-  // exactly like it ignores snapshot hooks. A model that does not declare
-  // the matching ReductionSpec pieces explores fully — the flags are safe
-  // to pass uniformly across a sweep of heterogeneous models.
+  // State-space reduction switches (mck/reduction.h). A model that does not
+  // declare the matching ReductionSpec pieces explores fully — the flags are
+  // safe to pass uniformly across a sweep of heterogeneous models.
   ReductionOptions reduction;
 };
 
@@ -116,11 +103,6 @@ class ViolatedSlots {
   }
   void Mark(std::size_t i) {
     MarkSlot(i < slot_.size() ? slot_[i] : slot_.size());
-  }
-  // Re-marks a violation carried by name (a resumed snapshot).
-  void MarkName(const std::string& name) {
-    const std::size_t k = SlotOf(name);
-    if (k < flag_.size()) MarkSlot(k);
   }
   // Number of distinct slots marked.
   std::size_t count() const { return count_; }
@@ -161,8 +143,8 @@ struct ExploreStats {
   std::uint64_t states_visited = 0;
   std::uint64_t transitions = 0;
   std::uint64_t max_depth_reached = 0;
-  bool truncated = false;  // hit max_states or max_depth
-  // Peak size of the BFS/DFS frontier and the final load factor of the
+  bool truncated = false;  // hit max_states
+  // Peak size of the BFS frontier and the final load factor of the
   // visited-state hash table — the two memory-pressure signals for soaks.
   std::uint64_t frontier_peak = 0;
   double hash_occupancy = 0;
@@ -185,8 +167,7 @@ struct ExploreStats {
 };
 
 // Canonical deterministic view of ExploreStats: every field that must be
-// identical across replays, job counts and checkpoint/resume boundaries —
-// and nothing wall-clock. The determinism suites compare these views
+// identical across replays — and nothing wall-clock. The determinism suites compare these views
 // instead of hand-picking fields per test, so a new wall-clock field can
 // never silently leak into a byte-identity comparison.
 struct ExploreStatsView {
@@ -201,19 +182,10 @@ struct ExploreStatsView {
   bool operator==(const ExploreStatsView&) const = default;
 };
 
-// `include_occupancy = false` zeroes hash_occupancy on the view — for
-// serial-vs-parallel comparisons, where a sharded table legitimately has a
-// different load factor than a single one.
-inline ExploreStatsView DeterministicView(const ExploreStats& s,
-                                          bool include_occupancy = true) {
-  return {s.states_visited,
-          s.transitions,
-          s.max_depth_reached,
-          s.frontier_peak,
-          s.truncated,
-          include_occupancy ? s.hash_occupancy : 0.0,
-          s.ample_states,
-          s.represented_states};
+inline ExploreStatsView DeterministicView(const ExploreStats& s) {
+  return {s.states_visited, s.transitions,    s.max_depth_reached,
+          s.frontier_peak,  s.truncated,      s.hash_occupancy,
+          s.ample_states,   s.represented_states};
 }
 
 inline std::string ToString(const ExploreStatsView& v) {
@@ -247,87 +219,6 @@ struct ExploreResult {
   }
 };
 
-// --- wave-boundary snapshots (crash-safe checkpoint support) ----------------
-//
-// A snapshot captures the complete deterministic search state at a wave
-// boundary in an engine-neutral form: discovered states in global discovery
-// ("rank") order with their cached hashes and back-pointers, the current
-// frontier as ranks, carried stats, and the violations committed so far.
-// Rank order is exactly serial interning order, which ParallelExplore also
-// reproduces — so a snapshot written by either engine resumes in either
-// engine, at any job count, with byte-identical final results.
-
-inline constexpr std::uint64_t kNoParentRank = ~0ull;
-
-template <typename M>
-struct ExploreSnapshot {
-  struct Node {
-    typename M::State state{};
-    std::uint64_t hash = 0;      // cached HashValue(state)
-    std::uint64_t parent = kNoParentRank;  // rank of the parent state
-    typename M::Action via{};    // action that discovered this state
-  };
-  std::vector<Node> nodes;              // rank order
-  std::vector<std::uint64_t> frontier;  // ranks of the pending wave
-  std::uint64_t depth = 0;              // depth of the frontier states
-  // Carried stats (everything deterministic that is not derivable from the
-  // node list).
-  std::uint64_t transitions = 0;
-  std::uint64_t frontier_peak = 0;
-  std::uint64_t max_depth_reached = 0;
-  std::uint64_t waves = 0;  // == depth at a continuing wave boundary
-  // POR bookkeeping carried across a resume; represented_states is *not*
-  // carried because the engines recompute it from the final visited set.
-  std::uint64_t ample_states = 0;
-  std::vector<Violation<M>> violations;
-};
-
-// Observation and resume plumbing for Explore / ParallelExplore. When
-// `on_snapshot` is set, the engine captures an ExploreSnapshot at wave
-// boundaries, gated by the cadence fields; when `resume` is set, the engine
-// starts from that snapshot instead of the model's initial state (the
-// caller is responsible for passing the same model, properties and options
-// as the producing run — file-level resume guards this with a config
-// digest, see ckpt/explore_ckpt.h). Snapshots only observe: a hooked run's
-// results are identical to an unhooked one. BFS only; the DFS order of
-// Explore ignores hooks.
-template <typename M>
-struct SnapshotHooks {
-  std::function<void(const ExploreSnapshot<M>&)> on_snapshot;
-  // Capture when at least this many states were discovered since the last
-  // capture, or at least this many waves completed; with both zero, every
-  // wave boundary is captured.
-  std::uint64_t every_states = 0;
-  std::uint64_t every_waves = 0;
-  const ExploreSnapshot<M>* resume = nullptr;
-};
-
-namespace internal {
-
-// Wave-boundary cadence bookkeeping shared by the serial and parallel
-// engines.
-struct SnapshotCadence {
-  std::uint64_t every_states = 0;
-  std::uint64_t every_waves = 0;
-  std::uint64_t states_at_last = 0;
-  std::uint64_t waves_since = 0;
-
-  bool Due(std::uint64_t states_now) {
-    ++waves_since;
-    const bool due =
-        (every_states == 0 && every_waves == 0) ||
-        (every_states != 0 && states_now - states_at_last >= every_states) ||
-        (every_waves != 0 && waves_since >= every_waves);
-    if (due) {
-      states_at_last = states_now;
-      waves_since = 0;
-    }
-    return due;
-  }
-};
-
-}  // namespace internal
-
 namespace internal {
 
 template <typename State>
@@ -349,14 +240,11 @@ inline std::size_t ReserveHint(std::uint64_t max_states) {
 
 }  // namespace internal
 
-// Exhaustive exploration from the model's initial state. `hooks`, when
-// given, captures wave-boundary snapshots and/or resumes from one (BFS
-// only; see SnapshotHooks).
+// Exhaustive breadth-first exploration from the model's initial state.
 template <CheckableModel M>
 ExploreResult<M> Explore(const M& model,
                          const PropertySet<typename M::State>& properties,
-                         const ExploreOptions& options = {},
-                         const SnapshotHooks<M>* hooks = nullptr) {
+                         const ExploreOptions& options = {}) {
   using State = typename M::State;
   using Action = typename M::Action;
 
@@ -364,31 +252,19 @@ ExploreResult<M> Explore(const M& model,
   ExploreResult<M> result;
   const std::size_t n_props = properties.size();
   internal::ViolatedSlots<State> violated(properties);
-  const bool track =
-      hooks != nullptr && options.order == SearchOrder::kBreadthFirst;
-  // Reduction is BFS-only (see ExploreOptions::reduction); for DFS the
-  // engine stays inert and the exploration is the full product.
-  const internal::ReductionEngine<M> red =
-      options.order == SearchOrder::kBreadthFirst
-          ? internal::ReductionEngine<M>(model, options.reduction,
-                                         !properties.empty())
-          : internal::ReductionEngine<M>();
+  const internal::ReductionEngine<M> red(model, options.reduction,
+                                        !properties.empty());
 
   // Arena of discovered states with back-pointers for trace reconstruction.
   struct NodeMeta {
     std::int64_t parent = -1;
     Action via{};
-    std::uint64_t depth = 0;
   };
   const std::size_t hint = internal::ReserveHint(options.max_states);
   std::vector<State> arena;
   std::vector<NodeMeta> meta;
   arena.reserve(hint);
   meta.reserve(hint);
-  // Cached per-state hashes, kept only when snapshots are in play: the
-  // snapshot stores them so a resume never recomputes HashValue.
-  std::vector<std::uint64_t> hashes;
-  if (track) hashes.reserve(hint);
   // Visited set over arena indices with the 64-bit state hash cached in each
   // slot: probes and growth rehashes never recompute HashValue.
   InternTable seen(hint);
@@ -426,8 +302,8 @@ ExploreResult<M> Explore(const M& model,
   // arena only on actual insertion — no push/pop churn on duplicate hits.
   // Returns (index, inserted); index is -1 when the state was new but the
   // max_states cap is already full.
-  auto intern = [&](State s, std::int64_t parent, const Action* via,
-                    std::uint64_t depth) -> std::pair<std::int64_t, bool> {
+  auto intern = [&](State s, std::int64_t parent,
+                    const Action* via) -> std::pair<std::int64_t, bool> {
     const std::uint64_t h = static_cast<std::uint64_t>(HashValue(s));
     const std::int64_t found = seen.Find(h, [&](std::int64_t i) {
       return arena[static_cast<std::size_t>(i)] == s;
@@ -437,8 +313,7 @@ ExploreResult<M> Explore(const M& model,
       return {-1, false};
     }
     arena.push_back(std::move(s));
-    meta.push_back({parent, via != nullptr ? *via : Action{}, depth});
-    if (track) hashes.push_back(h);
+    meta.push_back({parent, via != nullptr ? *via : Action{}});
     const std::int64_t idx = static_cast<std::int64_t>(arena.size()) - 1;
     seen.Insert(h, idx);
     return {idx, true};
@@ -452,184 +327,68 @@ ExploreResult<M> Explore(const M& model,
         {"deadlock", reconstruct(idx), arena[static_cast<std::size_t>(idx)]});
   };
 
-  if (options.order == SearchOrder::kBreadthFirst) {
-    // Depth-synchronized waves: the frontier holds every state at depth
-    // `depth`; the whole wave is expanded before moving on. Early exit and
-    // max_states truncation act at wave-deterministic points, matching
-    // ParallelExplore at any worker count.
-    std::vector<std::int64_t> frontier;
-    std::vector<std::int64_t> next_frontier;
-    std::uint64_t depth = 0;
-    // POR plumbing: `wave_start` is the arena size when the current wave
-    // began, so "old" (C3 freshness) means "interned before this wave" —
-    // the same predicate the parallel engine evaluates against its frozen
-    // pre-wave table. `ample` is the reusable ample-subset scratch.
-    std::int64_t wave_start = 0;
-    std::vector<Action> actions;
-    std::vector<Action> ample;
-    auto is_old = [&](const State& t) {
-      const std::uint64_t h = static_cast<std::uint64_t>(HashValue(t));
-      const std::int64_t found = seen.Find(h, [&](std::int64_t i) {
-        return arena[static_cast<std::size_t>(i)] == t;
-      });
-      return found >= 0 && found < wave_start;
-    };
-    internal::SnapshotCadence cadence;
-    if (track) {
-      cadence.every_states = hooks->every_states;
-      cadence.every_waves = hooks->every_waves;
-    }
-    if (track && hooks->resume != nullptr) {
-      // Rebuild arena, meta and the intern table from the snapshot's
-      // rank-ordered node list. Inserting in rank order from the same
-      // initial Reserve replays the producing run's growth sequence, so the
-      // table layout — and hash_occupancy — end up identical.
-      const ExploreSnapshot<M>& snap = *hooks->resume;
-      for (std::size_t i = 0; i < snap.nodes.size(); ++i) {
-        const auto& n = snap.nodes[i];
-        const std::int64_t parent =
-            n.parent == kNoParentRank ? -1
-                                      : static_cast<std::int64_t>(n.parent);
-        const std::uint64_t d =
-            parent < 0 ? 0 : meta[static_cast<std::size_t>(parent)].depth + 1;
-        arena.push_back(n.state);
-        meta.push_back({parent, n.via, d});
-        hashes.push_back(n.hash);
-        seen.Insert(n.hash, static_cast<std::int64_t>(i));
-      }
-      frontier.reserve(snap.frontier.size());
-      for (const std::uint64_t r : snap.frontier) {
-        frontier.push_back(static_cast<std::int64_t>(r));
-      }
-      depth = snap.depth;
-      result.stats.transitions = snap.transitions;
-      result.stats.frontier_peak = snap.frontier_peak;
-      result.stats.max_depth_reached = snap.max_depth_reached;
-      result.stats.ample_states = snap.ample_states;
-      result.violations = snap.violations;
-      for (const auto& v : result.violations) violated.MarkName(v.property);
-      cadence.states_at_last = snap.nodes.size();
-    } else {
-      auto [idx, inserted] = intern(red.Canon(model.initial()), -1, nullptr, 0);
-      (void)inserted;
-      check_state(idx);
-      frontier.push_back(idx);
-    }
-    auto capture = [&] {
-      ExploreSnapshot<M> snap;
-      snap.nodes.resize(arena.size());
-      for (std::size_t i = 0; i < arena.size(); ++i) {
-        snap.nodes[i] = {arena[i], hashes[i],
-                         meta[i].parent < 0
-                             ? kNoParentRank
-                             : static_cast<std::uint64_t>(meta[i].parent),
-                         meta[i].via};
-      }
-      snap.frontier.assign(frontier.begin(), frontier.end());
-      snap.depth = depth;
-      snap.transitions = result.stats.transitions;
-      snap.frontier_peak = result.stats.frontier_peak;
-      snap.max_depth_reached = result.stats.max_depth_reached;
-      snap.waves = depth;
-      snap.ample_states = result.stats.ample_states;
-      snap.violations = result.violations;
-      return snap;
-    };
-    while (!frontier.empty() && !all_violated()) {
-      result.stats.frontier_peak =
-          std::max(result.stats.frontier_peak,
-                   static_cast<std::uint64_t>(frontier.size()));
-      result.stats.max_depth_reached =
-          std::max(result.stats.max_depth_reached, depth);
-      if (options.max_depth != 0 && depth >= options.max_depth) {
-        result.stats.truncated = true;
-        break;
-      }
-      next_frontier.clear();
-      wave_start = static_cast<std::int64_t>(arena.size());
-      for (const std::int64_t idx : frontier) {
-        model.enabled(arena[static_cast<std::size_t>(idx)], actions);
-        if (actions.empty()) check_deadlock(idx);
-        const std::vector<Action>* expand = &actions;
-        if (red.por() &&
-            red.SelectAmple(model, arena[static_cast<std::size_t>(idx)],
-                            actions, is_old, ample)) {
-          expand = &ample;
-          ++result.stats.ample_states;
-        }
-        for (const Action& a : *expand) {
-          ++result.stats.transitions;
-          State next =
-              red.Canon(model.apply(arena[static_cast<std::size_t>(idx)], a));
-          auto [child, inserted] = intern(std::move(next), idx, &a, depth + 1);
-          if (!inserted) {
-            // child < 0: a genuinely new state was dropped by the cap. Keep
-            // expanding the rest of the wave (transition counts stay
-            // well-defined) but stop after it.
-            if (child < 0) result.stats.truncated = true;
-            continue;
-          }
-          check_state(child);
-          next_frontier.push_back(child);
-        }
-      }
-      frontier.swap(next_frontier);
-      ++depth;
-      if (result.stats.truncated) break;
-      // Capture only at continuing boundaries: a snapshot of a finished
-      // exploration would never be resumed.
-      if (track && hooks->on_snapshot != nullptr && !frontier.empty() &&
-          !all_violated() && cadence.Due(seen.size())) {
-        hooks->on_snapshot(capture());
-      }
-    }
-  } else {
-    std::vector<std::int64_t> frontier;
-    std::vector<Action> actions;
-    {
-      auto [idx, inserted] = intern(model.initial(), -1, nullptr, 0);
-      (void)inserted;
-      check_state(idx);
-      frontier.push_back(idx);
-    }
-    bool stop = false;
-    while (!frontier.empty() && !stop && !all_violated()) {
-      result.stats.frontier_peak =
-          std::max(result.stats.frontier_peak,
-                   static_cast<std::uint64_t>(frontier.size()));
-      const std::int64_t idx = frontier.back();
-      frontier.pop_back();
-      const std::uint64_t depth = meta[static_cast<std::size_t>(idx)].depth;
-      result.stats.max_depth_reached =
-          std::max(result.stats.max_depth_reached, depth);
-      if (options.max_depth != 0 && depth >= options.max_depth) {
-        result.stats.truncated = true;
-        continue;
-      }
-
+  // Depth-synchronized waves: the frontier holds every state at depth
+  // `depth`; the whole wave is expanded before moving on, and early exit
+  // and max_states truncation act at wave boundaries.
+  std::vector<std::int64_t> frontier;
+  std::vector<std::int64_t> next_frontier;
+  std::uint64_t depth = 0;
+  // POR plumbing: `wave_start` is the arena size when the current wave
+  // began, so "old" (C3 freshness) means "interned before this wave".
+  // `ample` is the reusable ample-subset scratch.
+  std::int64_t wave_start = 0;
+  std::vector<Action> actions;
+  std::vector<Action> ample;
+  auto is_old = [&](const State& t) {
+    const std::uint64_t h = static_cast<std::uint64_t>(HashValue(t));
+    const std::int64_t found = seen.Find(h, [&](std::int64_t i) {
+      return arena[static_cast<std::size_t>(i)] == t;
+    });
+    return found >= 0 && found < wave_start;
+  };
+  {
+    auto [idx, inserted] = intern(red.Canon(model.initial()), -1, nullptr);
+    (void)inserted;
+    check_state(idx);
+    frontier.push_back(idx);
+  }
+  while (!frontier.empty() && !all_violated()) {
+    result.stats.frontier_peak =
+        std::max(result.stats.frontier_peak,
+                 static_cast<std::uint64_t>(frontier.size()));
+    result.stats.max_depth_reached =
+        std::max(result.stats.max_depth_reached, depth);
+    next_frontier.clear();
+    wave_start = static_cast<std::int64_t>(arena.size());
+    for (const std::int64_t idx : frontier) {
       model.enabled(arena[static_cast<std::size_t>(idx)], actions);
       if (actions.empty()) check_deadlock(idx);
-      for (const Action& a : actions) {
+      const std::vector<Action>* expand = &actions;
+      if (red.por() &&
+          red.SelectAmple(model, arena[static_cast<std::size_t>(idx)],
+                          actions, is_old, ample)) {
+        expand = &ample;
+        ++result.stats.ample_states;
+      }
+      for (const Action& a : *expand) {
         ++result.stats.transitions;
-        State next = model.apply(arena[static_cast<std::size_t>(idx)], a);
-        auto [child, inserted] = intern(std::move(next), idx, &a, depth + 1);
+        State next =
+            red.Canon(model.apply(arena[static_cast<std::size_t>(idx)], a));
+        auto [child, inserted] = intern(std::move(next), idx, &a);
         if (!inserted) {
-          if (child < 0) {
-            result.stats.truncated = true;
-            stop = true;
-            break;
-          }
+          // child < 0: a genuinely new state was dropped by the cap. Keep
+          // expanding the rest of the wave (transition counts stay
+          // well-defined) but stop after it.
+          if (child < 0) result.stats.truncated = true;
           continue;
         }
         check_state(child);
-        if (options.max_states != 0 && seen.size() >= options.max_states) {
-          result.stats.truncated = true;
-          stop = true;
-          break;
-        }
-        frontier.push_back(child);
+        next_frontier.push_back(child);
       }
     }
+    frontier.swap(next_frontier);
+    ++depth;
+    if (result.stats.truncated) break;
   }
 
   result.stats.states_visited = seen.size();

@@ -15,8 +15,7 @@
 namespace cnv::mck {
 
 // Murmur3's 64-bit finalizer: every input bit affects every output bit, so
-// both the low bits (intern-table slots) and the top bits (parallel shard
-// routing) of a digest are well mixed.
+// the low bits that pick an intern-table slot are well mixed.
 inline std::uint64_t Fmix64(std::uint64_t x) {
   x ^= x >> 33;
   x *= 0xff51afd7ed558ccdULL;

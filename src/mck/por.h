@@ -1,4 +1,4 @@
-// Ample-set partial-order reduction. The engines expand, at each state, an
+// Ample-set partial-order reduction. The explorer expands, at each state, an
 // *ample subset* of the enabled actions instead of all of them whenever a
 // component can be found whose enabled actions provably commute with
 // everything the rest of the system can do. The classic conditions, as
@@ -23,10 +23,7 @@
 //       every candidate successor is already visited is fully expanded, so
 //       an enabled action can never be deferred forever around a cycle.
 //       "Visited at wave start" over-approximates "fully expanded", which
-//       only costs reduction, never soundness — and it is exactly the
-//       predicate both the serial and the parallel engine can evaluate
-//       identically (the parallel expand phase probes the frozen pre-wave
-//       table), preserving serial-vs-parallel byte-identity.
+//       only costs reduction, never soundness.
 //
 // Candidate components are tried in ascending component order, so the
 // chosen ample set is a deterministic function of the state alone.
@@ -42,15 +39,12 @@ namespace cnv::mck::internal {
 
 // Resolved per-run reduction configuration: which reductions are actually
 // active given the options AND what the model declares. Constructed once per
-// engine run; const thereafter (safe to share across workers — the oracle
-// std::functions are only invoked through const calls).
+// exploration; const thereafter.
 template <typename M>
 class ReductionEngine {
  public:
   using State = typename M::State;
   using Action = typename M::Action;
-
-  ReductionEngine() = default;
 
   ReductionEngine(const M& model, const ReductionOptions& opt,
                   bool have_properties) {
@@ -70,9 +64,7 @@ class ReductionEngine {
     }
   }
 
-  bool active() const { return por_ || sym_; }
   bool por() const { return por_; }
-  bool symmetry() const { return sym_; }
   bool orbits() const { return orbits_; }
 
   // Orbit representative of s; identity when symmetry is off.

@@ -1,20 +1,13 @@
-// Shared worker-pool utility for the parallel exploration engine and the
-// campaign runner. A pool owns `jobs - 1` helper threads; the calling thread
-// always participates as worker 0, so `jobs == 1` degenerates to inline
-// execution with no threads spawned and no synchronization — byte-identical
-// to the code paths that existed before the pool.
+// Shared worker-pool utility under the campaign grids and the city engine.
+// A pool owns `jobs - 1` helper threads; the calling thread always
+// participates as worker 0, so `jobs == 1` degenerates to inline execution
+// with no threads spawned and no synchronization.
 //
-// Two dispatch shapes:
-//
-//   ParallelFor(n, fn)   fn(worker, begin, end) over contiguous slices of
-//                        [0, n). The slice boundaries depend only on (n,
-//                        jobs), never on scheduling, which is what lets the
-//                        exploration engine keep candidate ordering
-//                        deterministic (see mck/parallel_explorer.h).
-//   ParallelEach(n, fn)  fn(worker, i) with indices claimed dynamically from
-//                        an atomic counter — the right shape for irregular
-//                        work like campaign runs, where callers index results
-//                        by `i` so ordering never depends on scheduling.
+// One dispatch shape: ParallelEach(n, fn) runs fn(worker, i) with indices
+// claimed dynamically from an atomic counter — the right shape for
+// irregular work like campaign cells, where callers index results by `i`
+// so ordering never depends on scheduling. ParallelEachUntil adds a
+// graceful drain.
 //
 // Both calls are barriers: they return only after every index has been
 // processed, and the completion handshake establishes a happens-before edge
@@ -48,10 +41,6 @@ class WorkerPool {
   WorkerPool& operator=(const WorkerPool&) = delete;
 
   int jobs() const { return jobs_; }
-
-  // Runs fn(worker, begin, end) where worker w owns [n*w/jobs, n*(w+1)/jobs).
-  void ParallelFor(std::size_t n,
-                   const std::function<void(int, std::size_t, std::size_t)>& fn);
 
   // Runs fn(worker, i) for every i in [0, n); indices are claimed dynamically.
   void ParallelEach(std::size_t n,

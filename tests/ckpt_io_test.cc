@@ -132,18 +132,18 @@ TEST(BinaryReaderTest, AtEndRequiresFullConsumption) {
 TEST(CheckpointFileTest, RoundTripsAndReportsStoredDigest) {
   const std::string path = TempPath("roundtrip.ckpt");
   const std::string payload = "the payload bytes";
-  ASSERT_TRUE(WriteCheckpointFile(path, PayloadType::kExploreSnapshot,
+  ASSERT_TRUE(WriteCheckpointFile(path, PayloadType::kCampaignCell,
                                   /*payload_version=*/3, /*config_digest=*/77,
                                   payload));
   std::string got;
-  EXPECT_EQ(ReadCheckpointFile(path, PayloadType::kExploreSnapshot, 3, 77,
+  EXPECT_EQ(ReadCheckpointFile(path, PayloadType::kCampaignCell, 3, 77,
                                &got),
             LoadStatus::kOk);
   EXPECT_EQ(got, payload);
 
   // kAnyConfigDigest skips the check and surfaces the stored digest.
   std::uint64_t stored = 0;
-  EXPECT_EQ(ReadCheckpointFile(path, PayloadType::kExploreSnapshot, 3,
+  EXPECT_EQ(ReadCheckpointFile(path, PayloadType::kCampaignCell, 3,
                                kAnyConfigDigest, &got, &stored),
             LoadStatus::kOk);
   EXPECT_EQ(stored, 77u);

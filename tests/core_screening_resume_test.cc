@@ -42,7 +42,6 @@ void FlipPayloadByte(const std::string& path) {
 ScreeningOptions SmallOptions() {
   ScreeningOptions opt;
   opt.random_walks = 5;
-  opt.jobs = 1;
   return opt;
 }
 
@@ -181,7 +180,6 @@ TEST(ScreeningConfigDigestTest, IgnoresExecutionKnobsButNotTheCatalog) {
   const std::uint64_t digest = ScreeningRunner(SmallOptions()).ConfigDigest();
 
   ScreeningOptions execution = SmallOptions();
-  execution.jobs = 4;
   execution.checkpoint_dir = "/somewhere/else";
   execution.resume = true;
   execution.retry.max_retries = 2;

@@ -39,22 +39,11 @@ TEST(ExplorerTest, BuggyCounterYieldsCounterexample) {
 TEST(ExplorerTest, BfsFindsShortestCounterexample) {
   CounterModel m;
   m.buggy = true;
-  ExploreOptions opt;
-  opt.order = SearchOrder::kBreadthFirst;
-  const auto r = Explore(m, BelowCap(m.cap), opt);
+  const auto r = Explore(m, BelowCap(m.cap));
   const auto* v = r.FindViolation("below_cap");
   ASSERT_NE(v, nullptr);
   // Shortest: 3 normal increments to reach cap-1, then the double bump.
   EXPECT_EQ(v->trace.size(), 4u);
-}
-
-TEST(ExplorerTest, DfsFindsSameViolation) {
-  CounterModel m;
-  m.buggy = true;
-  ExploreOptions opt;
-  opt.order = SearchOrder::kDepthFirst;
-  const auto r = Explore(m, BelowCap(m.cap), opt);
-  EXPECT_FALSE(r.Holds("below_cap"));
 }
 
 TEST(ExplorerTest, TraceReplayReachesViolatingState) {
@@ -76,16 +65,6 @@ TEST(ExplorerTest, MaxStatesTruncates) {
   const auto r = Explore(m, BelowCap(m.cap), opt);
   EXPECT_TRUE(r.stats.truncated);
   EXPECT_LE(r.stats.states_visited, 10u);
-}
-
-TEST(ExplorerTest, MaxDepthTruncates) {
-  CounterModel m;
-  m.cap = 1000;
-  ExploreOptions opt;
-  opt.max_depth = 5;
-  const auto r = Explore(m, BelowCap(m.cap), opt);
-  EXPECT_TRUE(r.stats.truncated);
-  EXPECT_EQ(r.stats.states_visited, 6u);  // values 0..5 discovered
 }
 
 TEST(ExplorerTest, PetersonGuaranteesMutualExclusion) {

@@ -3,8 +3,7 @@
 // agree on the set of reachable property violations (up to orbit
 // representatives when symmetry is on), and the reduction factor on the
 // models built for it must clear the asserted floor. Also pins the C3
-// cycle proviso with a model where skipping it would lose a violation, and
-// serial-vs-parallel byte-identity of reduced runs at several job counts.
+// cycle proviso with a model where skipping it would lose a violation.
 #include "mck/por.h"
 
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 #include <vector>
 
 #include "mck/explorer.h"
-#include "mck/parallel_explorer.h"
 #include "mck/toy_models.h"
 #include "model/combined_model.h"
 #include "model/s1_model.h"
@@ -224,73 +222,6 @@ TEST(PorTest, CycleProvisoKeepsVisibleActionReachable) {
   EXPECT_FALSE(red.Holds("ok"));  // lost if C3 were skipped
   EXPECT_EQ(ViolatedProps<CycleTrapModel>(full.violations),
             ViolatedProps<CycleTrapModel>(red.violations));
-}
-
-// --- Serial-vs-parallel byte-identity of reduced runs -----------------------
-
-TEST(PorTest, ReducedExplorationByteIdenticalAtAnyJobCount) {
-  const CombinedModel m;
-  const auto props = m.Properties();
-  ExploreOptions base = Reduced(true, true);
-  const auto serial = Explore(m, props, base);
-  for (const int jobs : {1, 2, 4}) {
-    ParallelExploreOptions popt;
-    popt.base = base;
-    popt.jobs = jobs;
-    const auto par = ParallelExplore(m, props, popt);
-    EXPECT_EQ(DeterministicView(serial.stats, /*include_occupancy=*/false),
-              DeterministicView(par.stats, /*include_occupancy=*/false))
-        << "jobs=" << jobs;
-    ASSERT_EQ(serial.violations.size(), par.violations.size());
-    for (std::size_t i = 0; i < serial.violations.size(); ++i) {
-      EXPECT_EQ(serial.violations[i].property, par.violations[i].property);
-      EXPECT_EQ(serial.violations[i].trace.size(),
-                par.violations[i].trace.size());
-      EXPECT_EQ(serial.violations[i].state, par.violations[i].state);
-    }
-  }
-}
-
-TEST(PorTest, ReducedParallelShardOccupancyIdenticalAcrossJobs) {
-  const IndepWorkersModel m;
-  ParallelExploreOptions popt;
-  popt.base = Reduced(true, true);
-  popt.jobs = 1;
-  const auto p1 = ParallelExplore(m, {}, popt);
-  popt.jobs = 4;
-  const auto p4 = ParallelExplore(m, {}, popt);
-  EXPECT_EQ(DeterministicView(p1.stats), DeterministicView(p4.stats));
-  EXPECT_EQ(DeterministicView(p1.par), DeterministicView(p4.par));
-}
-
-// --- Checkpoint/resume mid-reduced-run --------------------------------------
-
-TEST(PorTest, ResumeMidReducedRunIsByteIdentical) {
-  const CombinedModel m;
-  const auto props = m.Properties();
-  ParallelExploreOptions popt;
-  popt.base = Reduced(true, true);
-  popt.jobs = 2;
-
-  std::vector<ExploreSnapshot<CombinedModel>> snaps;
-  SnapshotHooks<CombinedModel> hooks;
-  hooks.every_waves = 1;
-  hooks.on_snapshot = [&](const ExploreSnapshot<CombinedModel>& s) {
-    snaps.push_back(s);
-  };
-  const auto uninterrupted = ParallelExplore(m, props, popt, nullptr, &hooks);
-  ASSERT_GE(snaps.size(), 2u);
-
-  SnapshotHooks<CombinedModel> resume_hooks;
-  resume_hooks.resume = &snaps[1];
-  const auto resumed = ParallelExplore(m, props, popt, nullptr, &resume_hooks);
-  EXPECT_EQ(DeterministicView(uninterrupted.stats),
-            DeterministicView(resumed.stats));
-  ASSERT_EQ(uninterrupted.violations.size(), resumed.violations.size());
-  for (std::size_t i = 0; i < uninterrupted.violations.size(); ++i) {
-    EXPECT_EQ(uninterrupted.violations[i].property,
-              resumed.violations[i].property);
-  }
 }
 
 }  // namespace

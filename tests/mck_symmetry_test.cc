@@ -13,7 +13,6 @@
 #include <string>
 
 #include "mck/explorer.h"
-#include "mck/parallel_explorer.h"
 #include "mck/toy_models.h"
 #include "model/combined_model.h"
 
@@ -108,25 +107,6 @@ TEST(SymmetryTest, CombinedModelFourUesStillAgree) {
             ViolatedProps<CombinedModel>(sym.violations));
   // Three interchangeable UEs buy a substantial factor on their own.
   EXPECT_GE(full.stats.states_visited, 3 * sym.stats.states_visited);
-}
-
-// --- serial/parallel agreement under symmetry -------------------------------
-
-TEST(SymmetryTest, SymmetryReducedParallelMatchesSerial) {
-  const CombinedModel m;
-  const auto props = m.Properties();
-  const auto serial = Explore(m, props, SymOnly());
-  for (const int jobs : {1, 2, 4}) {
-    ParallelExploreOptions popt;
-    popt.base = SymOnly();
-    popt.jobs = jobs;
-    const auto par = ParallelExplore(m, props, popt);
-    EXPECT_EQ(DeterministicView(serial.stats, /*include_occupancy=*/false),
-              DeterministicView(par.stats, /*include_occupancy=*/false))
-        << "jobs=" << jobs;
-    EXPECT_EQ(ViolatedProps<CombinedModel>(serial.violations),
-              ViolatedProps<CombinedModel>(par.violations));
-  }
 }
 
 // --- combined N=2 exhaustive with both reductions (the acceptance gate) -----

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <numeric>
 #include <set>
 #include <vector>
@@ -20,41 +19,6 @@ TEST(WorkerPoolTest, HardwareJobsIsPositive) {
   EXPECT_EQ(ResolveJobs(7), 7);
 }
 
-TEST(WorkerPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
-  for (const int jobs : {1, 2, 3, 8}) {
-    WorkerPool pool(jobs);
-    ASSERT_EQ(pool.jobs(), jobs);
-    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
-                                std::size_t{64}, std::size_t{1000}}) {
-      std::vector<std::atomic<int>> hits(n);
-      pool.ParallelFor(n, [&](int worker, std::size_t begin, std::size_t end) {
-        EXPECT_GE(worker, 0);
-        EXPECT_LT(worker, jobs);
-        for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-      });
-      for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1);
-    }
-  }
-}
-
-TEST(WorkerPoolTest, ParallelForSlicesAreContiguousAndDeterministic) {
-  // The slice split must depend only on (n, jobs): worker w owns
-  // [n*w/jobs, n*(w+1)/jobs). The exploration engine's candidate keys rely
-  // on this.
-  WorkerPool pool(4);
-  const std::size_t n = 10;
-  std::mutex mu;
-  std::vector<std::pair<std::size_t, std::size_t>> slices(4, {0, 0});
-  pool.ParallelFor(n, [&](int worker, std::size_t begin, std::size_t end) {
-    std::lock_guard<std::mutex> lock(mu);
-    slices[static_cast<std::size_t>(worker)] = {begin, end};
-  });
-  for (int w = 0; w < 4; ++w) {
-    EXPECT_EQ(slices[static_cast<std::size_t>(w)].first, n * w / 4);
-    EXPECT_EQ(slices[static_cast<std::size_t>(w)].second, n * (w + 1) / 4);
-  }
-}
-
 TEST(WorkerPoolTest, ParallelEachCoversEveryIndexExactlyOnce) {
   for (const int jobs : {1, 2, 8}) {
     WorkerPool pool(jobs);
@@ -70,11 +34,7 @@ TEST(WorkerPoolTest, PoolIsReusableAcrossDispatches) {
   std::uint64_t total = 0;
   for (int round = 0; round < 50; ++round) {
     std::atomic<std::uint64_t> sum{0};
-    pool.ParallelFor(100, [&](int, std::size_t begin, std::size_t end) {
-      std::uint64_t local = 0;
-      for (std::size_t i = begin; i < end; ++i) local += i;
-      sum.fetch_add(local);
-    });
+    pool.ParallelEach(100, [&](int, std::size_t i) { sum.fetch_add(i); });
     total += sum.load();
   }
   EXPECT_EQ(total, 50u * (99u * 100u / 2));
@@ -84,7 +44,7 @@ TEST(WorkerPoolTest, SingleJobRunsInlineOnCallingThread) {
   WorkerPool pool(1);
   const std::thread::id caller = std::this_thread::get_id();
   std::set<std::thread::id> seen;
-  pool.ParallelFor(10, [&](int worker, std::size_t, std::size_t) {
+  pool.ParallelEach(10, [&](int worker, std::size_t) {
     EXPECT_EQ(worker, 0);
     seen.insert(std::this_thread::get_id());
   });
