@@ -5,8 +5,8 @@
 #include <mutex>
 #include <utility>
 
-#include "dist/executor.h"
 #include "dist/process.h"
+#include "par/pool.h"
 
 namespace cnv::dist {
 
@@ -85,8 +85,8 @@ bool Cancelled(const DistOptions& options) {
 // Thread backend, unchained: the historical campaign/diff loop — dynamic
 // claiming with graceful drain, merge + checkpoint under the mutex.
 void RunThreadUnchained(Merge& m, const std::vector<std::size_t>& pending) {
-  Executor exec(m.options.workers);
-  exec.ParallelEachUntil(
+  par::WorkerPool pool(m.options.workers);
+  pool.ParallelEachUntil(
       pending.size(),
       [&](int, std::size_t k) {
         const std::size_t i = pending[k];

@@ -4,7 +4,7 @@
 //
 //   resume        manifest + cell blobs load upfront; damaged or
 //                 semantically invalid blobs are discarded and re-run
-//   dispatch      thread backend (dist::Executor, caller participates,
+//   dispatch      thread backend (par::WorkerPool, caller participates,
 //                 workers == 1 is byte-identical to the old serial loops)
 //                 or process backend (supervised fleet, dist/process.h)
 //   checkpointing every completed cell is persisted atomically and the

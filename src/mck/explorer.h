@@ -89,14 +89,6 @@ class ViolatedSlots {
     }
   }
 
-  std::size_t SlotOf(const std::string& name) const {
-    const std::size_t n = slot_.size();
-    if (name == "deadlock") return n;
-    std::size_t j = 0;
-    while (j < n && (*props_)[j].name != name) ++j;
-    return j < n ? j : n + 1;
-  }
-
   // Property i (or, for i == size of the set, deadlock) is violated.
   bool Violated(std::size_t i) const {
     return i < slot_.size() ? flag_[slot_[i]] != 0 : flag_.back() != 0;
@@ -108,6 +100,14 @@ class ViolatedSlots {
   std::size_t count() const { return count_; }
 
  private:
+  std::size_t SlotOf(const std::string& name) const {
+    const std::size_t n = slot_.size();
+    if (name == "deadlock") return n;
+    std::size_t j = 0;
+    while (j < n && (*props_)[j].name != name) ++j;
+    return j < n ? j : n + 1;
+  }
+
   void MarkSlot(std::size_t k) {
     if (flag_[k] == 0) ++count_;
     flag_[k] = 1;

@@ -148,9 +148,9 @@ std::uint64_t ReportDigest(const ScreeningReport& report) {
 }
 
 // The formatted report at 50 walks, seed 1, with and without the remedies
-// and with and without POR + symmetry, pinned to digests recorded before
-// the runner moved from the sharded explorer onto mck::Explore. Any change
-// to what screening finds, counts or prints shows up here.
+// and with and without POR + symmetry, against recorded digests. Any change
+// to what screening finds, counts or prints shows up here; how fast it runs
+// does not.
 TEST(ScreeningTest, ReportMatchesRecordedDigests) {
   struct Pin {
     bool with_solutions;

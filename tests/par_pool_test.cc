@@ -20,12 +20,19 @@ TEST(WorkerPoolTest, HardwareJobsIsPositive) {
 }
 
 TEST(WorkerPoolTest, ParallelEachCoversEveryIndexExactlyOnce) {
-  for (const int jobs : {1, 2, 8}) {
+  for (const int jobs : {1, 2, 3, 8}) {
     WorkerPool pool(jobs);
-    const std::size_t n = 257;
-    std::vector<std::atomic<int>> hits(n);
-    pool.ParallelEach(n, [&](int, std::size_t i) { hits[i].fetch_add(1); });
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1);
+    ASSERT_EQ(pool.jobs(), jobs);
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                                std::size_t{257}}) {
+      std::vector<std::atomic<int>> hits(n);
+      pool.ParallelEach(n, [&](int worker, std::size_t i) {
+        EXPECT_GE(worker, 0);
+        EXPECT_LT(worker, jobs);
+        hits[i].fetch_add(1);
+      });
+      for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1);
+    }
   }
 }
 
