@@ -76,16 +76,17 @@ namespace internal {
 
 // Violated properties by slot: slot(i) is the first property sharing
 // property i's name and slot n (n = properties.size()) is "deadlock", so a
-// state's checks test flags instead of hashing names. A name that is
-// neither maps to n + 1, which is never marked.
+// state's checks test flags instead of hashing names.
 template <typename State>
 class ViolatedSlots {
  public:
   explicit ViolatedSlots(const PropertySet<State>& properties)
-      : props_(&properties), slot_(properties.size()),
-        flag_(properties.size() + 1, 0) {
-    for (std::size_t i = 0; i < slot_.size(); ++i) {
-      slot_[i] = SlotOf(properties[i].name);
+      : slot_(properties.size()), flag_(properties.size() + 1, 0) {
+    const std::size_t n = properties.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      std::size_t j = properties[i].name == "deadlock" ? n : 0;
+      while (j < i && properties[j].name != properties[i].name) ++j;
+      slot_[i] = j;
     }
   }
 
@@ -100,20 +101,11 @@ class ViolatedSlots {
   std::size_t count() const { return count_; }
 
  private:
-  std::size_t SlotOf(const std::string& name) const {
-    const std::size_t n = slot_.size();
-    if (name == "deadlock") return n;
-    std::size_t j = 0;
-    while (j < n && (*props_)[j].name != name) ++j;
-    return j < n ? j : n + 1;
-  }
-
   void MarkSlot(std::size_t k) {
     if (flag_[k] == 0) ++count_;
     flag_[k] = 1;
   }
 
-  const PropertySet<State>* props_;
   std::vector<std::size_t> slot_;
   std::vector<char> flag_;
   std::size_t count_ = 0;
